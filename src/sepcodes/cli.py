@@ -32,7 +32,7 @@ from . import codes, families, sat_reduction
 from .graphs import Graph, GraphFormatError, VertexSet, format_edge_list, induced_subgraph, parse_edge_list
 from .hypergraphs import DEFAULT_NODE_BUDGET, remove_redundant
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if graph_source:
             p.add_argument("graph", nargs="?", help="edge-list file (or use --family)")
             p.add_argument("--family", help="family spec like path:12, half:4, thin:5[+k1]")
-        p.add_argument("--budget", type=int, help="branch-node budget for the exact solver")
-        p.add_argument("--threads", type=int, default=1, help="solver threads (informational)")
+        p.add_argument("--budget", type=_positive_int,
+                       help="branch-node budget for the exact solver")
         p.add_argument("--deterministic", action="store_true",
                        help="byte-stable reports: single-ordered search, zeroed timings")
         p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
@@ -92,15 +92,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _resolve_budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("SEPCODES_BUDGET")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"SEPCODES_BUDGET is not an integer: {env!r}") from None
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"SEPCODES_BUDGET: {exc}") from None
     return DEFAULT_NODE_BUDGET
 
 
@@ -120,8 +130,7 @@ def _load_graph(args) -> tuple[Graph, str]:
 def _command_echo(args) -> str:
     """Canonical reconstruction of the invocation from parsed arguments.
 
-    Field order is fixed and ``--threads`` is omitted in deterministic mode,
-    so deterministic reports are byte-identical at every thread count.
+    Field order is fixed, so deterministic reports are byte-identical.
     """
     parts = [args.command]
     for positional in ("graph", "cnf", "spec"):
@@ -142,8 +151,6 @@ def _command_echo(args) -> str:
         parts.append("--check")
     if args.budget is not None:
         parts.extend(["--budget", str(args.budget)])
-    if args.threads != 1 and not args.deterministic:
-        parts.extend(["--threads", str(args.threads)])
     if args.deterministic:
         parts.append("--deterministic")
     if args.json:
@@ -156,7 +163,6 @@ def _report(args, **body) -> dict:
         "format_version": FORMAT_VERSION,
         "command": _command_echo(args),
         "deterministic": args.deterministic,
-        "threads": 1 if args.deterministic else args.threads,
     }
     report.update(body)
     return report

@@ -13,9 +13,8 @@ The hyperedge recipe per type is a triple of families:
 * non-adjacent pairs: symmetric differences of closed or open neighborhoods.
 
 This module also provides direct definitional verifiers (independent of
-the hypergraph route), the five equivalent formulations of full
-separation, distance-2 fast verifiers for the full-separation codes,
-full-separation forced vertices, and the end-to-end exact X-number
+the hypergraph route), distance-2 fast verifiers for the full-separation
+codes, full-separation forced vertices, and the end-to-end exact X-number
 computation.
 """
 
@@ -106,6 +105,13 @@ class NotAdmissibleError(ValueError):
         self.reason = reason
 
 
+class CoverCodeMismatchError(RuntimeError):
+    """A minimum cover of the X-hypergraph failed the definitional check.
+
+    This signals a defect in the encoding or the search, never bad input.
+    """
+
+
 def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     """The X-hypergraph of g whose covers are exactly the X-codes of g.
 
@@ -133,7 +139,7 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
                     masks.append(cu ^ (g.neighbor_mask(v) | 1 << v))
                 else:
                     masks.append(row ^ g.neighbor_mask(v))
-    return Hypergraph(n, (VertexSet(n, m) for m in masks))
+    return Hypergraph(n, masks)
 
 
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
@@ -212,63 +218,15 @@ def is_locating(g: Graph, c: VertexSet) -> bool:
     return len(traces) == len(outside)
 
 
-def is_full_separating(g: Graph, c: VertexSet, variant: str = "a") -> bool:
-    """Full separation of all vertex pairs, by one of five equivalent tests.
+def is_full_separating(g: Graph, c: VertexSet) -> bool:
+    """Every pair u, v is separated by C within (N(u) sym N(v)) - {u,v}.
 
-    The variants are distinct code paths on purpose, so their agreement is
-    a meaningful property check rather than a tautology:
-
-    * ``a``: punctured traces differ, (N(v)&C)-{u} != (N(u)&C)-{v};
-    * ``b``: C meets (N(u) sym N(v)) - {u,v};
-    * ``c``: C meets N[u] sym N[v] for adjacent pairs and N(u) sym N(v)
-      for non-adjacent pairs;
-    * ``d``: pairwise, both the closed and the open traces differ;
-    * ``e``: C is a closed-separating and an open-separating set.
+    For adjacent pairs that punctured difference is N[u] sym N[v], and for
+    non-adjacent pairs it is N(u) sym N(v), so full separation is exactly
+    closed separation plus open separation.  The other equivalent forms
+    live in the test suite as independent oracles.
     """
-    _check_universe(g, c)
-    cm = c.mask
-    n = g.n
-    if variant == "a":
-        for u in range(n):
-            nu = g.neighbor_mask(u)
-            for v in range(u + 1, n):
-                if (g.neighbor_mask(v) & cm) & ~(1 << u) == (nu & cm) & ~(1 << v):
-                    return False
-        return True
-    if variant == "b":
-        for u in range(n):
-            nu = g.neighbor_mask(u)
-            for v in range(u + 1, n):
-                punctured = (nu ^ g.neighbor_mask(v)) & ~(1 << u | 1 << v)
-                if not punctured & cm:
-                    return False
-        return True
-    if variant == "c":
-        for u in range(n):
-            nu = g.neighbor_mask(u)
-            cu = nu | 1 << u
-            for v in range(u + 1, n):
-                nv = g.neighbor_mask(v)
-                diff = cu ^ (nv | 1 << v) if nu >> v & 1 else nu ^ nv
-                if not diff & cm:
-                    return False
-        return True
-    if variant == "d":
-        for u in range(n):
-            nu = g.neighbor_mask(u)
-            for v in range(u + 1, n):
-                nv = g.neighbor_mask(v)
-                if (nu | 1 << u) & cm == (nv | 1 << v) & cm:
-                    return False
-                if nu & cm == nv & cm:
-                    return False
-        return True
-    if variant == "e":
-        return is_closed_separating(g, c) and is_open_separating(g, c)
-    raise ValueError(f"unknown variant {variant!r} (expected a..e)")
-
-
-verify_full_separating = is_full_separating
+    return is_closed_separating(g, c) and is_open_separating(g, c)
 
 
 def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
@@ -289,7 +247,7 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
         return is_open_separating(g, c)
     if kind in (CodeKind.LD, CodeKind.LTD):
         return is_locating(g, c)
-    return is_full_separating(g, c, "a")
+    return is_full_separating(g, c)
 
 
 def _separates_near_pairs(g: Graph, cm: int) -> bool:
@@ -358,5 +316,9 @@ def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult
     if failure is not None:
         raise NotAdmissibleError(kind, failure)
     result = min_cover(remove_redundant(build_hypergraph(g, kind)), budget)
-    assert verify_code(g, kind, result.witness), "cover/code equivalence violated"
+    if not verify_code(g, kind, result.witness):
+        raise CoverCodeMismatchError(
+            f"cover {result.witness.sorted_ids()} of the {kind.value}-hypergraph "
+            f"is not a {kind.value}-code"
+        )
     return result

@@ -76,10 +76,6 @@ class VertexSet:
         self._check(other)
         return VertexSet(self.n, self.mask & ~other.mask)
 
-    def sym_diff(self, other: "VertexSet") -> "VertexSet":
-        """Elements in exactly one of the two sets."""
-        return self ^ other
-
     def issubset(self, other: "VertexSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
@@ -100,10 +96,6 @@ class VertexSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self)
-
     def sorted_ids(self) -> list[int]:
         return list(self)
 
@@ -119,11 +111,6 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
-
-
-def sym_diff(a: VertexSet, b: VertexSet) -> VertexSet:
-    """Symmetric difference of two same-universe vertex sets."""
-    return a ^ b
 
 
 class Graph:

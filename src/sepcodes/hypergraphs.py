@@ -33,53 +33,35 @@ class EmptyHyperedgeError(ValueError):
     """The hypergraph contains an empty hyperedge, so no cover exists."""
 
 
+@dataclass(frozen=True)
 class Hypergraph:
-    """Immutable list of hyperedges (VertexSets) over universe {0..n-1}.
+    """Immutable list of hyperedges over universe {0..n-1}.
 
-    Edge order is preserved exactly as constructed, which makes downstream
-    results (witness choice, dumps) deterministic.
+    Each hyperedge is an int bitmask: bit v is set iff vertex v belongs to
+    it.  Edge order is preserved exactly as constructed, which makes
+    downstream results (witness choice, dumps) deterministic.
     """
 
-    __slots__ = ("n", "edges")
+    n: int
+    edges: tuple[int, ...]
 
-    def __init__(self, n: int, edges: Iterable[VertexSet]):
-        edges = tuple(edges)
-        for e in edges:
-            if e.n != n:
-                raise UniverseMismatchError(
-                    f"hyperedge universe {e.n} != hypergraph universe {n}"
-                )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Hypergraph is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(self.edges))
+        for m in self.edges:
+            if m < 0 or m >> self.n:
+                raise ValueError(f"hyperedge mask {m:#x} has bits outside 0..{self.n - 1}")
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "Hypergraph":
-        return cls(n, (VertexSet.of(n, s) for s in sets))
-
-    @property
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple(e.mask for e in self.edges)
+        return cls(n, (VertexSet.of(n, s).mask for s in sets))
 
     def has_empty_edge(self) -> bool:
-        return any(e.mask == 0 for e in self.edges)
+        return 0 in self.edges
 
     def dump_lines(self) -> list[str]:
         """Canonical dump: one line per edge, ids ascending, edges lex-sorted."""
-        rows = sorted(tuple(e) for e in self.edges)
+        rows = sorted(VertexSet(self.n, m).sorted_ids() for m in self.edges)
         return [" ".join(map(str, row)) for row in rows]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, edges={len(self.edges)})"
@@ -107,10 +89,10 @@ def is_cover(h: Hypergraph, c: VertexSet) -> bool:
     if c.n != h.n:
         raise UniverseMismatchError(f"cover universe {c.n} != hypergraph universe {h.n}")
     cm = c.mask
-    return all(e.mask & cm for e in h.edges)
+    return all(e & cm for e in h.edges)
 
 
-def _minimal_masks(masks: list[int]) -> list[int]:
+def _minimal_masks(masks: tuple[int, ...]) -> list[int]:
     """Indices-preserving inclusion-minimal filter with deduplication.
 
     Keeps exactly the inclusion-minimal masks, first occurrence wins on
@@ -133,7 +115,7 @@ def remove_redundant(h: Hypergraph) -> Hypergraph:
 
     The result has exactly the same covers as the input.
     """
-    return Hypergraph(h.n, (VertexSet(h.n, m) for m in _minimal_masks(list(h.edge_masks))))
+    return Hypergraph(h.n, _minimal_masks(h.edges))
 
 
 def _packing_lower_bound(masks: list[int]) -> int:
@@ -147,7 +129,7 @@ def _packing_lower_bound(masks: list[int]) -> int:
     return count
 
 
-def _greedy_mask(n: int, masks: list[int]) -> int:
+def _greedy_mask(n: int, masks: Iterable[int]) -> int:
     """Greedy cover mask: repeatedly take the vertex hitting the most
     uncovered edges, smallest id on ties."""
     chosen = 0
@@ -176,12 +158,11 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     Flagged optimal only when the greedy size matches the disjoint-packing
     lower bound of the hypergraph.
     """
-    masks = list(h.edge_masks)
-    if any(m == 0 for m in masks):
+    if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    chosen = _greedy_mask(h.n, masks)
+    chosen = _greedy_mask(h.n, h.edges)
     size = chosen.bit_count()
-    proven = size == _packing_lower_bound(_minimal_masks(masks))
+    proven = size == _packing_lower_bound(_minimal_masks(h.edges))
     return CoverResult(size, VertexSet(h.n, chosen), proven, 0)
 
 
@@ -193,10 +174,9 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    masks = list(h.edge_masks)
-    if any(m == 0 for m in masks):
+    if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    reduced = _minimal_masks(masks)
+    reduced = _minimal_masks(h.edges)
     best_mask = _greedy_mask(h.n, reduced)
     best_size = best_mask.bit_count()
     nodes = 0
@@ -258,8 +238,7 @@ def precedes(h: Hypergraph, h2: Hypergraph) -> bool:
     """
     if h.n != h2.n:
         raise UniverseMismatchError(f"universe sizes differ: {h.n} vs {h2.n}")
-    masks = h.edge_masks
-    for e2 in h2.edge_masks:
-        if not any(m & ~e2 == 0 for m in masks):
+    for e2 in h2.edges:
+        if not any(m & ~e2 == 0 for m in h.edges):
             return False
     return True

@@ -256,7 +256,7 @@ def assignment_from_code(gg: GadgetGraph, code: VertexSet) -> tuple[bool, ...] |
     formula: each clause's u1/u3 pair is separated only through a selected
     wired literal vertex.
     """
-    if not is_full_separating(gg.graph, code, "b"):
+    if not is_full_separating(gg.graph, code):
         return None
     values: list[bool] = []
     for i in range(1, gg.num_vars + 1):

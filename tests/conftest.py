@@ -13,12 +13,17 @@ import random
 from sepcodes import Graph, Hypergraph, VertexSet, random_gnp
 
 
+def ids(mask: int, n: int) -> set[int]:
+    """The vertex ids of a bitmask, decoded without package code."""
+    return {i for i in range(n) if mask >> i & 1}
+
+
 def brute_force_tau(h: Hypergraph) -> int | None:
     """Minimum cover size by subset enumeration in increasing cardinality.
 
     None when no cover exists (empty hyperedge present).
     """
-    edge_sets = [set(e) for e in h.edges]
+    edge_sets = [ids(e, h.n) for e in h.edges]
     if any(not e for e in edge_sets):
         return None
     for k in range(h.n + 1):
@@ -31,7 +36,7 @@ def brute_force_tau(h: Hypergraph) -> int | None:
 
 def naive_minimal_edges(h: Hypergraph) -> list[frozenset[int]]:
     """Inclusion-minimal hyperedges via the obvious quadratic set filter."""
-    sets = [frozenset(e) for e in h.edges]
+    sets = [frozenset(ids(e, h.n)) for e in h.edges]
     kept: list[frozenset[int]] = []
     for i, s in enumerate(sets):
         dominated = any(
@@ -55,8 +60,62 @@ def random_hypergraph(rng: random.Random, n: int, m: int, allow_empty: bool = Fa
         if not allow_empty:
             while mask == 0:
                 mask = rng.getrandbits(n)
-        edges.append(VertexSet(n, mask))
+        edges.append(mask)
     return Hypergraph(n, edges)
+
+
+# --- full separation: four equivalent forms as independent oracles --------
+#
+# The library tests full separation as closed plus open separation.  These
+# four forms check every pair u < v on plain Python sets instead.
+
+
+def _open_nbhds(g: Graph) -> list[set[int]]:
+    return [ids(g.neighbor_mask(v), g.n) for v in range(g.n)]
+
+
+def full_separating_a(g: Graph, c: VertexSet) -> bool:
+    """Punctured traces differ: (N(v) & C) - {u} != (N(u) & C) - {v}."""
+    nb, code = _open_nbhds(g), ids(c.mask, g.n)
+    return all(
+        (nb[v] & code) - {u} != (nb[u] & code) - {v}
+        for u, v in itertools.combinations(range(g.n), 2)
+    )
+
+
+def full_separating_b(g: Graph, c: VertexSet) -> bool:
+    """C meets the punctured symmetric difference (N(u) ^ N(v)) - {u, v}."""
+    nb, code = _open_nbhds(g), ids(c.mask, g.n)
+    return all(
+        ((nb[u] ^ nb[v]) - {u, v}) & code
+        for u, v in itertools.combinations(range(g.n), 2)
+    )
+
+
+def full_separating_c(g: Graph, c: VertexSet) -> bool:
+    """C meets N[u] ^ N[v] for adjacent pairs and N(u) ^ N(v) otherwise."""
+    nb, code = _open_nbhds(g), ids(c.mask, g.n)
+    for u, v in itertools.combinations(range(g.n), 2):
+        if v in nb[u]:
+            diff = (nb[u] | {u}) ^ (nb[v] | {v})
+        else:
+            diff = nb[u] ^ nb[v]
+        if not diff & code:
+            return False
+    return True
+
+
+def full_separating_d(g: Graph, c: VertexSet) -> bool:
+    """Pairwise, both the closed and the open traces differ."""
+    nb, code = _open_nbhds(g), ids(c.mask, g.n)
+    return all(
+        (nb[u] | {u}) & code != (nb[v] | {v}) & code and nb[u] & code != nb[v] & code
+        for u, v in itertools.combinations(range(g.n), 2)
+    )
+
+
+FULL_SEPARATION_ORACLES = (full_separating_a, full_separating_b,
+                           full_separating_c, full_separating_d)
 
 
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:

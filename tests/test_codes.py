@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sepcodes import (
     CodeKind,
+    CoverCodeMismatchError,
+    CoverResult,
     Family,
     FamilySpec,
     Graph,
@@ -25,10 +31,17 @@ from sepcodes import (
     verify_code_fast,
     x_number,
 )
+from sepcodes import codes
 from sepcodes.codes import admissibility_failure, is_closed_separating, is_open_separating
 from sepcodes.sat_reduction import CnfFormula, build_gadget
 
-from conftest import complete_graph, random_subset, random_twin_free_graph
+from conftest import (
+    FULL_SEPARATION_ORACLES,
+    complete_graph,
+    ids,
+    random_subset,
+    random_twin_free_graph,
+)
 
 ALL_KINDS = list(CodeKind)
 
@@ -60,7 +73,7 @@ class TestBuildHypergraph:
         # closed neighborhoods by id, then adjacent closed diffs lex, then
         # the single non-adjacent open diff (empty: 0 and 2 are open twins)
         h = build_hypergraph(path(3), CodeKind.FD)
-        assert [sorted(e) for e in h.edges] == [
+        assert [sorted(ids(e, h.n)) for e in h.edges] == [
             [0, 1], [0, 1, 2], [1, 2],  # N[0], N[1], N[2]
             [2], [0],                   # N[0]^N[1], N[1]^N[2]
             [],                         # N(0)^N(2)
@@ -69,7 +82,7 @@ class TestBuildHypergraph:
     def test_thin_spider_fd_contains_expected_families(self):
         k = 4
         g = generate(FamilySpec(Family.THIN_SPIDER, k))
-        edges = {frozenset(e) for e in build_hypergraph(g, CodeKind.FD).edges}
+        edges = {frozenset(ids(e, g.n)) for e in build_hypergraph(g, CodeKind.FD).edges}
         for i in range(k):
             assert frozenset({i, k + i}) in edges            # N[s_i]
         for i in range(k):
@@ -141,7 +154,7 @@ class TestVerifyCode:
 
 
 class TestFullSeparatingVariants:
-    VARIANTS = "abcde"
+    VARIANTS = (is_full_separating, *FULL_SEPARATION_ORACLES)
 
     def test_all_variants_agree_random(self):
         rng = random.Random(25)
@@ -149,7 +162,7 @@ class TestFullSeparatingVariants:
             n = rng.randint(1, 10)
             g = random_gnp(n, rng.random(), rng)
             c = random_subset(n, rng)
-            answers = {v: is_full_separating(g, c, v) for v in self.VARIANTS}
+            answers = {check.__name__: check(g, c) for check in self.VARIANTS}
             assert len(set(answers.values())) == 1, answers
 
     def test_full_vertex_set_on_twin_free(self):
@@ -157,12 +170,12 @@ class TestFullSeparatingVariants:
         for _ in range(10):
             g = random_twin_free_graph(rng, rng.randint(4, 9), isolate_free=False)
             full = VertexSet.of(g.n, range(g.n))
-            for v in self.VARIANTS:
-                assert is_full_separating(g, full, v)
+            for check in self.VARIANTS:
+                assert check(g, full)
 
     def test_empty_set_fails_on_path4(self):
-        for v in self.VARIANTS:
-            assert not is_full_separating(path(4), VertexSet(4), v)
+        for check in self.VARIANTS:
+            assert not check(path(4), VertexSet(4))
 
     def test_variant_e_is_conjunction_of_independent_checks(self):
         rng = random.Random(27)
@@ -170,13 +183,9 @@ class TestFullSeparatingVariants:
             n = rng.randint(1, 9)
             g = random_gnp(n, rng.random(), rng)
             c = random_subset(n, rng)
-            assert is_full_separating(g, c, "e") == (
+            assert is_full_separating(g, c) == (
                 is_closed_separating(g, c) and is_open_separating(g, c)
             )
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            is_full_separating(path(4), VertexSet(4), "f")
 
 
 class TestVerifyCodeFast:
@@ -255,6 +264,29 @@ class TestXNumber:
             for kind in ALL_KINDS:
                 res = x_number(g, kind)
                 assert verify_code(g, kind, res.witness)
+
+    def test_non_code_cover_raises(self, monkeypatch):
+        # a search defect must surface as an internal error, never as an
+        # answer or as a usage error
+        monkeypatch.setattr(codes, "min_cover",
+                            lambda h, budget: CoverResult(0, VertexSet(h.n), True, 1))
+        with pytest.raises(CoverCodeMismatchError) as info:
+            x_number(path(5), CodeKind.FD)
+        assert not isinstance(info.value, ValueError)
+
+    def test_non_code_check_survives_optimize(self):
+        script = (
+            "import sepcodes.codes as c\n"
+            "c.min_cover = lambda h, budget: c.CoverResult(0, c.VertexSet(h.n), True, 1)\n"
+            "try:\n"
+            "    c.x_number(c.Graph.from_edges(2, [(0, 1)]), c.CodeKind.LD)\n"
+            "except c.CoverCodeMismatchError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(codes.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
 
 
 class TestKnownInequalities:

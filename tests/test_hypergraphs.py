@@ -21,6 +21,7 @@ from sepcodes import (
 
 from conftest import (
     brute_force_tau,
+    ids,
     naive_minimal_edges,
     random_hypergraph,
     random_subset,
@@ -30,6 +31,22 @@ from conftest import (
 
 def hg(n, *sets):
     return Hypergraph.from_sets(n, sets)
+
+
+class TestConstruction:
+    def test_bits_outside_universe_rejected(self):
+        for bad in (0b100, -1):
+            with pytest.raises(ValueError):
+                Hypergraph(2, [bad])
+        with pytest.raises(ValueError):
+            hg(2, [2])
+
+    def test_value_semantics(self):
+        h = hg(3, [0, 1], [2])
+        assert h == Hypergraph(3, [0b011, 0b100])
+        assert hash(h) == hash(Hypergraph(3, (0b011, 0b100)))
+        assert h != Hypergraph(4, [0b011, 0b100])
+        assert repr(h) == "Hypergraph(n=3, edges=2)"
 
 
 class TestIsCover:
@@ -64,7 +81,7 @@ class TestRemoveRedundant:
         # corner pair survive: {w_1..w_3}, {u_2..u_4} singletons, {u_1, w_4}
         g = generate(FamilySpec(Family.HALF_GRAPH, 4))
         reduced = remove_redundant(build_hypergraph(g, CodeKind.FD))
-        got = {frozenset(e) for e in reduced.edges}
+        got = {frozenset(ids(e, g.n)) for e in reduced.edges}
         expected = {frozenset({4}), frozenset({5}), frozenset({6}),
                     frozenset({1}), frozenset({2}), frozenset({3}),
                     frozenset({0, 7})}
@@ -74,7 +91,7 @@ class TestRemoveRedundant:
         rng = random.Random(5)
         for _ in range(30):
             h = random_hypergraph(rng, rng.randint(1, 10), rng.randint(0, 14))
-            got = sorted(tuple(sorted(e)) for e in remove_redundant(h).edges)
+            got = sorted(tuple(sorted(ids(e, h.n))) for e in remove_redundant(h).edges)
             want = sorted(tuple(sorted(s)) for s in set(naive_minimal_edges(h)))
             assert got == want
 
@@ -207,10 +224,7 @@ class TestPrecedes:
         for _ in range(25):
             n = rng.randint(2, 10)
             h = random_hypergraph(rng, n, rng.randint(1, 8))
-            padded = [
-                VertexSet(n, e.mask | rng.getrandbits(n)) for e in h.edges
-            ]
-            h2 = Hypergraph(n, padded)
+            h2 = Hypergraph(n, [e | rng.getrandbits(n) for e in h.edges])
             assert precedes(h, h2)
             res = min_cover(h)
             assert is_cover(h2, res.witness)
