@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_positive_int,
                        help="branch-node budget for the exact solver")
         p.add_argument("--deterministic", action="store_true",
-                       help="byte-stable reports: single-ordered search, zeroed timings")
+                       help="byte-stable reports: zeroed timings")
         p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
 
     p_solve = sub.add_parser("solve", help="compute an exact X-number")
@@ -369,7 +369,7 @@ def _cmd_reduce(args, out) -> int:
         body["edge_list"] = format_edge_list(gg.graph).splitlines()
         body["labels"] = labels
         lines.append("edge list:")
-        lines.extend("  " + row for row in format_edge_list(gg.graph).splitlines())
+        lines.extend("  " + row for row in body["edge_list"])
         lines.append("labels:")
         lines.extend(f"  {name} -> {vid}" for name, vid in labels.items())
 
@@ -435,19 +435,20 @@ def _cmd_hypergraph(args, out) -> int:
     h = codes.build_hypergraph(g, kind)
     reduced = remove_redundant(h)
     empty = h.has_empty_edge()
+    rows, reduced_rows = h.dump_lines(), reduced.dump_lines()
     report = _report(args,
                      graph={"source": source, "vertices": g.n, "edges": g.num_edges},
                      kind=kind.value,
-                     hypergraph={"edges": h.dump_lines(), "count": len(h.edges)},
-                     reduced={"edges": reduced.dump_lines(), "count": len(reduced.edges)},
+                     hypergraph={"edges": rows, "count": len(h.edges)},
+                     reduced={"edges": reduced_rows, "count": len(reduced.edges)},
                      empty_hyperedge=empty)
     lines = [f"source: {source}", f"kind: {kind.value}"]
     if empty:
         lines.append("warning: hypergraph contains an empty hyperedge (no code exists)")
     lines.append(f"hyperedges ({len(h.edges)}):")
-    lines.extend("  " + row for row in h.dump_lines())
+    lines.extend("  " + row for row in rows)
     lines.append(f"reduced hyperedges ({len(reduced.edges)}):")
-    lines.extend("  " + row for row in reduced.dump_lines())
+    lines.extend("  " + row for row in reduced_rows)
     _emit(report, args, lines, out)
     return EXIT_OK
 

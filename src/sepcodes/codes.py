@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 
 from .graphs import Graph, VertexSet
-from .hypergraphs import CoverResult, Hypergraph, min_cover, remove_redundant
+from .hypergraphs import CoverResult, Hypergraph, min_cover
 
 
 class Nbhd(enum.Enum):
@@ -307,7 +307,7 @@ def forced_vertices(g: Graph) -> VertexSet:
 
 
 def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult:
-    """Exact X-number of g: minimum cover of the reduced X-hypergraph.
+    """Exact X-number of g: minimum cover of the X-hypergraph.
 
     Raises NotAdmissibleError when no code of this kind exists.  On budget
     exhaustion the result carries the best code found, flagged non-optimal.
@@ -315,7 +315,7 @@ def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult
     failure = admissibility_failure(g, kind)
     if failure is not None:
         raise NotAdmissibleError(kind, failure)
-    result = min_cover(remove_redundant(build_hypergraph(g, kind)), budget)
+    result = min_cover(build_hypergraph(g, kind), budget)
     if not verify_code(g, kind, result.witness):
         raise CoverCodeMismatchError(
             f"cover {result.witness.sorted_ids()} of the {kind.value}-hypergraph "

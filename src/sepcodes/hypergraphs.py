@@ -13,6 +13,16 @@ branch-and-bound over int bitmasks:
 * the lower bound is a greedy packing of pairwise-disjoint uncovered
   hyperedges.
 
+Search, greedy cover and packing bound share one incidence-bitset kernel:
+``inc[v]`` is the set of indices of the reduced edges containing vertex v
+(the "transposed" bitsets of San Segundo, Rodriguez-Losada and Jimenez,
+C&OR 2011).  The uncovered edges are one int, and taking v is
+``live &= ~inc[v]``.  Each edge's count of allowed (unbanned) members is
+kept bit-sliced in a few plane ints over edge indices, so dead edges,
+unit edges and the branching edge each take a few whole-set operations,
+and banning v is one borrow-chain decrement on ``inc[v] & live``.  The
+search is an iterative depth-first loop over an explicit stack.
+
 The search is sequential and fully deterministic: the witness is the
 first optimum reached under this fixed order.  A node budget caps the
 search; exceeding it yields the best cover found so far, flagged
@@ -22,7 +32,7 @@ non-optimal (never silently truncated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import UniverseMismatchError, VertexSet
 
@@ -96,17 +106,32 @@ def _minimal_masks(masks: tuple[int, ...]) -> list[int]:
     """Indices-preserving inclusion-minimal filter with deduplication.
 
     Keeps exactly the inclusion-minimal masks, first occurrence wins on
-    duplicates, and returns them in their original relative order.
+    duplicates, and returns them in their original relative order.  The
+    empty mask is contained in every mask, so if one is present it is the
+    only survivor.  Kept masks are bucketed by their lowest bit: a kept
+    subset of m has its lowest bit inside m, so only those buckets are
+    searched.
     """
+    if 0 in masks:
+        return [0]
     order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i))
     kept_idx: list[int] = []
-    kept_masks: list[int] = []
+    by_low: dict[int, list[int]] = {}
     for i in order:
         m = masks[i]
-        if any(km & ~m == 0 for km in kept_masks):
-            continue  # contains (or equals) an already-kept minimal edge
-        kept_idx.append(i)
-        kept_masks.append(m)
+        outside = ~m
+        rest = m
+        dominated = False
+        while rest and not dominated:
+            low = rest & -rest
+            rest ^= low
+            for km in by_low.get(low, ()):
+                if not km & outside:
+                    dominated = True  # contains (or equals) an already-kept minimal edge
+                    break
+        if not dominated:
+            kept_idx.append(i)
+            by_low.setdefault(m & -m, []).append(m)
     return [masks[i] for i in sorted(kept_idx)]
 
 
@@ -118,37 +143,56 @@ def remove_redundant(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, _minimal_masks(h.edges))
 
 
-def _packing_lower_bound(masks: list[int]) -> int:
-    """Greedy count of pairwise-disjoint masks; a lower bound on the cover."""
-    used = 0
-    count = 0
-    for m in masks:
-        if not m & used:
-            used |= m
-            count += 1
-    return count
+def _ids(m: int) -> Iterator[int]:
+    """The set bits of m, ascending."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _greedy_mask(n: int, masks: Iterable[int]) -> int:
-    """Greedy cover mask: repeatedly take the vertex hitting the most
-    uncovered edges, smallest id on ties."""
+def _incidence(n: int, masks: Sequence[int]) -> list[int]:
+    """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i]."""
+    inc = [0] * n
+    for i, m in enumerate(masks):
+        for v in _ids(m):
+            inc[v] |= 1 << i
+    return inc
+
+
+def _packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:
+    """Greedy count of pairwise-disjoint live edges, restricted to the
+    unbanned vertices and taken lowest index first; a lower bound on the
+    cover.  Counting stops once it reaches ``limit``."""
+    packed = 0
+    while live and packed < limit:
+        packed += 1
+        m = masks[(live & -live).bit_length() - 1] & ~banned
+        hit = 0  # every edge sharing an allowed vertex with this one
+        while m:
+            low = m & -m
+            hit |= inc[low.bit_length() - 1]
+            m ^= low
+        live &= ~hit
+    return packed
+
+
+def _greedy_mask(inc: list[int], live: int) -> int:
+    """Greedy cover mask of the live edges: repeatedly take the vertex
+    hitting the most uncovered edges, smallest id on ties."""
     chosen = 0
-    uncovered = list(masks)
-    while uncovered:
+    while live:
         best_v = -1
         best_hits = 0
-        for v in range(n):
-            bit = 1 << v
-            if chosen & bit:
-                continue
-            hits = sum(1 for m in uncovered if m & bit)
+        for v, edges in enumerate(inc):
+            hits = (live & edges).bit_count()
             if hits > best_hits:
                 best_hits = hits
                 best_v = v
         if best_v < 0:  # pragma: no cover - impossible without empty edges
             raise EmptyHyperedgeError("uncoverable hyperedge")
         chosen |= 1 << best_v
-        uncovered = [m for m in uncovered if not m & chosen]
+        live &= ~inc[best_v]
     return chosen
 
 
@@ -160,10 +204,20 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     """
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    chosen = _greedy_mask(h.n, h.edges)
+    chosen = _greedy_mask(_incidence(h.n, h.edges), (1 << len(h.edges)) - 1)
     size = chosen.bit_count()
-    proven = size == _packing_lower_bound(_minimal_masks(h.edges))
-    return CoverResult(size, VertexSet(h.n, chosen), proven, 0)
+    reduced = _minimal_masks(h.edges)
+    bound = _packing(reduced, _incidence(h.n, reduced), (1 << len(reduced)) - 1, 0, size)
+    return CoverResult(size, VertexSet(h.n, chosen), size == bound, 0)
+
+
+def _bit_slices(counts: list[int]) -> list[int]:
+    """Planes over edge indices: bit i of plane j is bit j of counts[i]."""
+    planes = [0] * max(counts, default=0).bit_length()
+    for i, c in enumerate(counts):
+        for j in _ids(c):
+            planes[j] |= 1 << i
+    return planes
 
 
 def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
@@ -176,57 +230,85 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
         budget = DEFAULT_NODE_BUDGET
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    reduced = _minimal_masks(h.edges)
-    best_mask = _greedy_mask(h.n, reduced)
+    masks = _minimal_masks(h.edges)
+    inc = _incidence(h.n, masks)
+    best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
     best_size = best_mask.bit_count()
     nodes = 0
     exhausted = False
-
-    def dfs(chosen: int, count: int, banned: int, uncov: list[int]) -> None:
-        nonlocal best_mask, best_size, nodes, exhausted
+    # A node is (chosen, count, banned, live, planes): the chosen vertices
+    # and their number, the vertices banned by earlier siblings, the edges
+    # not yet hit by chosen, and the bit-sliced count of each live edge's
+    # allowed (unbanned) members.  Popping the last-pushed child first
+    # visits nodes in the preorder of the recursive search.
+    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices([m.bit_count() for m in masks]))]
+    while stack:
+        chosen, count, banned, live, planes = stack.pop()
         nodes += 1
         if nodes > budget:
             exhausted = True
-            return
-        # Unit propagation: edges with a single allowed vertex force it.
-        while True:
-            uncov = [m for m in uncov if not m & chosen]
-            if not uncov:
-                if count < best_size:
-                    best_size = count
-                    best_mask = chosen
-                return
-            if count + 1 >= best_size:
-                return
+            break
+        if not live:
+            if count < best_size:
+                best_size = count
+                best_mask = chosen
+            continue
+        if count + 1 >= best_size:
+            continue
+        high = 0
+        for p in planes[1:]:
+            high |= p
+        if live & ~(planes[0] | high):
+            continue  # every allowed vertex of some live edge was banned
+        allowed = ~banned
+        unit = live & planes[0] & ~high
+        if unit:  # unit propagation: an edge with one allowed vertex forces it
             forced = 0
-            for m in uncov:
-                rem = m & ~banned
-                if rem == 0:
-                    return  # every allowed vertex of this edge was banned
-                if rem & (rem - 1) == 0:
-                    forced |= rem
-            if not forced:
-                break
+            while unit:
+                bit = masks[(unit & -unit).bit_length() - 1] & allowed
+                forced |= bit
+                hit = inc[bit.bit_length() - 1]
+                unit &= ~hit
+                live &= ~hit
             chosen |= forced
             count += forced.bit_count()
             if count >= best_size:
-                return
-        effective = [m & ~banned for m in uncov]
-        if count + _packing_lower_bound(effective) >= best_size:
-            return
-        # Branch on the smallest remaining edge, members ascending;
-        # each sibling bans the members already tried.
-        pick = min(effective, key=int.bit_count)
-        tried = 0
-        while pick:
+                continue
+            if not live:
+                best_size = count
+                best_mask = chosen
+                continue
+            if count + 1 >= best_size:
+                continue
+        if count + _packing(masks, inc, live, banned, best_size - count) >= best_size:
+            continue
+        # Branch on the first live edge of minimum allowed count, members
+        # ascending; each sibling bans the members already tried.
+        least = live
+        for p in reversed(planes):
+            if least & ~p:
+                least &= ~p
+        pick = masks[(least & -least).bit_length() - 1] & allowed
+        children = []
+        while True:
             low = pick & -pick
-            dfs(chosen | low, count + 1, banned | tried, uncov)
-            if exhausted:
-                return
-            tried |= low
+            hit = inc[low.bit_length() - 1]
+            children.append((chosen | low, count + 1, banned, live & ~hit, planes))
             pick ^= low
-
-    dfs(0, 0, 0, reduced)
+            if not pick:
+                break
+            banned |= low
+            # Bit-sliced decrement of the allowed counts of the live edges
+            # under low; every such count is >= 1, so the borrow dies out.
+            borrow = live & hit
+            planes = planes[:]
+            j = 0
+            while borrow:
+                p = planes[j]
+                planes[j] = p ^ borrow
+                borrow &= ~p
+                j += 1
+        stack.extend(reversed(children))
     return CoverResult(best_size, VertexSet(h.n, best_mask), not exhausted, nodes)
 
 

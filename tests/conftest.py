@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
-from sepcodes import Graph, Hypergraph, VertexSet, random_gnp
+from sepcodes import (
+    DEFAULT_NODE_BUDGET,
+    CoverResult,
+    EmptyHyperedgeError,
+    Graph,
+    Hypergraph,
+    VertexSet,
+    random_gnp,
+)
 
 
 def ids(mask: int, n: int) -> set[int]:
@@ -62,6 +71,131 @@ def random_hypergraph(rng: random.Random, n: int, m: int, allow_empty: bool = Fa
                 mask = rng.getrandbits(n)
         edges.append(mask)
     return Hypergraph(n, edges)
+
+
+# --- list-based cover search: the reference engine ----------------------
+#
+# The search engine as it was before the incidence-bitset kernel, kept
+# verbatim: Python lists of uncovered edge masks, rescanned at every node.
+# The kernel must match it exactly, node for node, on every input and
+# budget, so these are differential oracles for min_cover, the greedy
+# upper bound, the packing lower bound and the redundancy filter.
+
+
+def reference_minimal_masks(masks: tuple[int, ...]) -> list[int]:
+    """Indices-preserving inclusion-minimal filter with deduplication.
+
+    Keeps exactly the inclusion-minimal masks, first occurrence wins on
+    duplicates, and returns them in their original relative order.
+    """
+    order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i))
+    kept_idx: list[int] = []
+    kept_masks: list[int] = []
+    for i in order:
+        m = masks[i]
+        if any(km & ~m == 0 for km in kept_masks):
+            continue  # contains (or equals) an already-kept minimal edge
+        kept_idx.append(i)
+        kept_masks.append(m)
+    return [masks[i] for i in sorted(kept_idx)]
+
+
+def reference_packing_lower_bound(masks: list[int]) -> int:
+    """Greedy count of pairwise-disjoint masks; a lower bound on the cover."""
+    used = 0
+    count = 0
+    for m in masks:
+        if not m & used:
+            used |= m
+            count += 1
+    return count
+
+
+def reference_greedy_mask(n: int, masks: Iterable[int]) -> int:
+    """Greedy cover mask: repeatedly take the vertex hitting the most
+    uncovered edges, smallest id on ties."""
+    chosen = 0
+    uncovered = list(masks)
+    while uncovered:
+        best_v = -1
+        best_hits = 0
+        for v in range(n):
+            bit = 1 << v
+            if chosen & bit:
+                continue
+            hits = sum(1 for m in uncovered if m & bit)
+            if hits > best_hits:
+                best_hits = hits
+                best_v = v
+        if best_v < 0:  # pragma: no cover - impossible without empty edges
+            raise EmptyHyperedgeError("uncoverable hyperedge")
+        chosen |= 1 << best_v
+        uncovered = [m for m in uncovered if not m & chosen]
+    return chosen
+
+
+def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
+    """Exact minimum cover by branch-and-bound (see module docstring).
+
+    Raises EmptyHyperedgeError if no cover exists.  If the node budget is
+    exhausted, returns the best cover found with ``optimal=False``.
+    """
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    if h.has_empty_edge():
+        raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
+    reduced = reference_minimal_masks(h.edges)
+    best_mask = reference_greedy_mask(h.n, reduced)
+    best_size = best_mask.bit_count()
+    nodes = 0
+    exhausted = False
+
+    def dfs(chosen: int, count: int, banned: int, uncov: list[int]) -> None:
+        nonlocal best_mask, best_size, nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        # Unit propagation: edges with a single allowed vertex force it.
+        while True:
+            uncov = [m for m in uncov if not m & chosen]
+            if not uncov:
+                if count < best_size:
+                    best_size = count
+                    best_mask = chosen
+                return
+            if count + 1 >= best_size:
+                return
+            forced = 0
+            for m in uncov:
+                rem = m & ~banned
+                if rem == 0:
+                    return  # every allowed vertex of this edge was banned
+                if rem & (rem - 1) == 0:
+                    forced |= rem
+            if not forced:
+                break
+            chosen |= forced
+            count += forced.bit_count()
+            if count >= best_size:
+                return
+        effective = [m & ~banned for m in uncov]
+        if count + reference_packing_lower_bound(effective) >= best_size:
+            return
+        # Branch on the smallest remaining edge, members ascending;
+        # each sibling bans the members already tried.
+        pick = min(effective, key=int.bit_count)
+        tried = 0
+        while pick:
+            low = pick & -pick
+            dfs(chosen | low, count + 1, banned | tried, uncov)
+            if exhausted:
+                return
+            tried |= low
+            pick ^= low
+
+    dfs(0, 0, 0, reduced)
+    return CoverResult(best_size, VertexSet(h.n, best_mask), not exhausted, nodes)
 
 
 # --- full separation: four equivalent forms as independent oracles --------

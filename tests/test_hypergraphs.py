@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -17,7 +18,11 @@ from sepcodes import (
     min_cover,
     precedes,
     remove_redundant,
+    x_number,
 )
+
+from sepcodes.families import graph_from_spec_string
+from sepcodes.hypergraphs import _greedy_mask, _incidence, _minimal_masks
 
 from conftest import (
     brute_force_tau,
@@ -26,6 +31,10 @@ from conftest import (
     random_hypergraph,
     random_subset,
     random_twin_free_graph,
+    reference_greedy_mask,
+    reference_min_cover,
+    reference_minimal_masks,
+    reference_packing_lower_bound,
 )
 
 
@@ -245,3 +254,96 @@ class TestDump:
     def test_lines_sorted_lexicographically(self):
         h = hg(4, [2, 3], [0], [0, 1], [])
         assert h.dump_lines() == ["", "0", "0 1", "2 3"]
+
+
+def awkward_hypergraph(rng: random.Random) -> Hypergraph:
+    """n <= 12, up to 20 edges, with duplicates, nested and empty edges."""
+    n = rng.randint(0, 12)
+    empty_rate = 0.05 if rng.random() < 0.1 else 0.0
+    edges: list[int] = []
+    for _ in range(rng.randint(0, 20)):
+        roll = rng.random()
+        if edges and roll < 0.08:
+            edges.append(rng.choice(edges))  # duplicate
+        elif edges and roll < 0.16:
+            edges.append(rng.choice(edges) | rng.getrandbits(n))  # superset
+        elif roll < 0.16 + empty_rate or not n:
+            edges.append(0)
+        else:
+            size = min(n, rng.choice((2, 2, 3, 3, rng.randint(1, n))))
+            edges.append(sum(1 << v for v in rng.sample(range(n), size)))
+    return Hypergraph(n, edges)
+
+
+def cover_outcome(solve, h, budget):
+    try:
+        res = solve(h, budget)
+    except EmptyHyperedgeError:
+        return "empty"
+    return res.size, res.witness.mask, res.optimal, res.nodes_explored
+
+
+class TestKernelMatchesReference:
+    """The incidence-bitset kernel against the list-based reference engine."""
+
+    def test_min_cover_node_for_node(self):
+        rng = random.Random(61)
+        for _ in range(1000):
+            h = awkward_hypergraph(rng)
+            for budget in (1, 2, 3, 10, 50, None):
+                assert cover_outcome(min_cover, h, budget) == \
+                    cover_outcome(reference_min_cover, h, budget), (h.n, h.edges, budget)
+
+    def test_greedy_filter_and_packing(self):
+        rng = random.Random(62)
+        for _ in range(400):
+            h = awkward_hypergraph(rng)
+            assert _minimal_masks(h.edges) == reference_minimal_masks(h.edges), h.edges
+            if h.has_empty_edge():
+                continue
+            full = (1 << len(h.edges)) - 1
+            want = reference_greedy_mask(h.n, h.edges)
+            assert _greedy_mask(_incidence(h.n, h.edges), full) == want, h.edges
+            res = greedy_cover(h)
+            bound = reference_packing_lower_bound(reference_minimal_masks(h.edges))
+            assert (res.witness.mask, res.optimal) == (want, want.bit_count() == bound)
+
+    def test_empty_masks_leave_one(self):
+        assert _minimal_masks((0b11, 0, 0b1, 0)) == [0]
+        assert _minimal_masks(()) == []
+
+    @pytest.mark.parametrize("spec, kind, nodes", [
+        ("cycle:24", CodeKind.FD, 1093),
+        ("cycle:24", CodeKind.OD, 4027),
+        ("thick:12", CodeKind.LD, 6766),
+        ("path:36", CodeKind.ID, 1415),
+    ])
+    def test_x_number_node_counts_pinned(self, spec, kind, nodes):
+        # node counts of the list-based engine; the branching order is fixed
+        g, _ = graph_from_spec_string(spec)
+        res = x_number(g, kind)
+        assert res.optimal and res.nodes_explored == nodes
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestDeepSearch:
+    def test_branch_depth_needs_no_recursion(self):
+        # 40 disjoint 5-cycles: tau = 3 each, the packing bound only 2 each,
+        # so the search runs about 80 branch levels deep
+        edges = [1 << (5 * c + i) | 1 << (5 * c + (i + 1) % 5)
+                 for c in range(40) for i in range(5)]
+        h = Hypergraph(200, edges)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 50)
+        try:
+            res = min_cover(h, budget=2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.size, res.optimal, res.nodes_explored) == (120, False, 2001)
+        assert is_cover(h, res.witness)
