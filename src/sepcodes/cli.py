@@ -32,7 +32,7 @@ from . import codes, families, sat_reduction
 from .graphs import Graph, GraphFormatError, VertexSet, format_edge_list, induced_subgraph, parse_edge_list
 from .hypergraphs import DEFAULT_NODE_BUDGET, remove_redundant
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,18 +202,19 @@ def _cmd_solve(args, out) -> int:
     g, source = _load_graph(args)
     kind = codes.CodeKind.parse(args.kind)
     budget = _resolve_budget(args)
-    failure = codes.admissibility_failure(g, kind)
-    if failure is not None:
+    try:
+        entry = _solve_entry(g, kind, budget, args)
+    except codes.NotAdmissibleError as exc:
         report = _report(args, budget=budget,
                          graph={"source": source, "vertices": g.n, "edges": g.num_edges},
-                         error={"type": "not_admissible", "kind": kind.value, "reason": failure})
+                         error={"type": "not_admissible", "kind": exc.kind.value,
+                                "reason": exc.reason})
         _emit(report, args, [
             f"source: {source}",
-            f"kind: {kind.value}",
-            f"not admissible: {failure}",
+            f"kind: {exc.kind.value}",
+            f"not admissible: {exc.reason}",
         ], out)
         return EXIT_NOT_ADMISSIBLE
-    entry = _solve_entry(g, kind, budget, args)
     report = _report(args, budget=budget,
                      graph={"source": source, "vertices": g.n, "edges": g.num_edges},
                      results=[entry])
@@ -237,27 +238,16 @@ def _cmd_verify(args, out) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     accepted = codes.verify_code(g, kind, code)
-    fast = None
-    if kind in (codes.CodeKind.FD, codes.CodeKind.FTD):
-        fast = codes.verify_code_fast(g, kind, code)
-    entry = {
-        "kind": kind.value,
-        "code": code.sorted_ids(),
-        "accepted": accepted,
-        "fast_accepted": fast,
-    }
+    entry = {"kind": kind.value, "code": code.sorted_ids(), "accepted": accepted}
     report = _report(args,
                      graph={"source": source, "vertices": g.n, "edges": g.num_edges},
                      results=[entry])
-    lines = [
+    _emit(report, args, [
         f"source: {source}",
         f"kind: {kind.value}",
         "code: " + " ".join(map(str, entry["code"])),
         f"verdict: {'accept' if accepted else 'reject'}",
-    ]
-    if fast is not None:
-        lines.append(f"fast verdict: {'accept' if fast else 'reject'}")
-    _emit(report, args, lines, out)
+    ], out)
     return EXIT_OK
 
 
@@ -266,13 +256,10 @@ def _cmd_relations(args, out) -> int:
     budget = _resolve_budget(args)
     numbers: dict[codes.CodeKind, dict] = {}
     for kind in codes.CodeKind:
-        failure = codes.admissibility_failure(g, kind)
-        if failure is not None:
-            numbers[kind] = {"kind": kind.value, "admissible": False, "reason": failure}
-        else:
-            entry = _solve_entry(g, kind, budget, args)
-            entry["admissible"] = True
-            numbers[kind] = entry
+        try:
+            numbers[kind] = _solve_entry(g, kind, budget, args) | {"admissible": True}
+        except codes.NotAdmissibleError as exc:
+            numbers[kind] = {"kind": kind.value, "admissible": False, "reason": exc.reason}
 
     def size_of(kind: codes.CodeKind) -> int | None:
         entry = numbers[kind]
@@ -496,10 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except codes.NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
-    except (_UsageError, GraphFormatError, sat_reduction.DimacsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (_UsageError, GraphFormatError, sat_reduction.DimacsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,10 +12,12 @@ The hyperedge recipe per type is a triple of families:
 * adjacent pairs: symmetric differences of closed or open neighborhoods;
 * non-adjacent pairs: symmetric differences of closed or open neighborhoods.
 
-This module also provides direct definitional verifiers (independent of
-the hypergraph route), distance-2 fast verifiers for the full-separation
-codes, full-separation forced vertices, and the end-to-end exact X-number
-computation.
+This module also provides the admissibility test, one definitional
+verifier per separation flavor (independent of the hypergraph route; full
+separation is closed plus open separation), full-separation forced
+vertices, and the end-to-end exact X-number computation.  Admissibility and
+the verifiers make one pass over the vertices; only the hypergraph build
+and forced vertices scan vertex pairs.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def is_full_separating(g: Graph, c: VertexSet) -> bool:
 
 
 def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
-    """Check c against the definition of a kind-code, pair by pair.
+    """Check c against the definition of a kind-code, trace by trace.
 
     This path never touches the hypergraph encoding, so it serves as an
     independent oracle for the cover route.
@@ -250,42 +252,14 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     return is_full_separating(g, c)
 
 
-def _separates_near_pairs(g: Graph, cm: int) -> bool:
-    # Full separation restricted to pairs at distance <= 2 (adjacent or
-    # sharing a neighbor), via the punctured symmetric difference.
-    n = g.n
-    for u in range(n):
-        nu = g.neighbor_mask(u)
-        for v in range(u + 1, n):
-            nv = g.neighbor_mask(v)
-            if not (nu >> v & 1 or nu & nv):
-                continue
-            if not (nu ^ nv) & ~(1 << u | 1 << v) & cm:
-                return False
-    return True
-
-
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
-    """Distance-2 shortcut verifier for the full-separation codes.
+    """:func:`verify_code` for the full-separation codes FD and FTD.
 
-    Pairs at distance >= 3 have disjoint neighborhoods, so (total-)
-    domination already separates them; only pairs at distance <= 2 need an
-    explicit check.  Agrees with :func:`verify_code` on every input.
+    Raises ValueError for any other kind.
     """
     if kind not in (CodeKind.FD, CodeKind.FTD):
         raise ValueError("fast verification applies to the full-separation codes only")
-    _check_universe(g, c)
-    cm = c.mask
-    if kind is CodeKind.FTD:
-        if not is_total_dominating(g, c):
-            return False
-    else:
-        if not is_dominating(g, c):
-            return False
-        unreached = sum(1 for v in range(g.n) if not g.neighbor_mask(v) & cm)
-        if unreached > 1:
-            return False
-    return _separates_near_pairs(g, cm)
+    return verify_code(g, kind, c)
 
 
 def forced_vertices(g: Graph) -> VertexSet:

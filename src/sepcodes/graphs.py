@@ -11,6 +11,7 @@ across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator
 
@@ -202,26 +203,19 @@ class Graph:
         return VertexSet(self.n, mask)
 
     def closed_twins(self) -> list[tuple[int, int]]:
-        """Adjacent pairs u < v with N[u] = N[v], lexicographically sorted."""
-        pairs = []
-        for u in range(self.n):
-            cu = self._adj[u] | 1 << u
-            for v in range(u + 1, self.n):
-                if self._adj[u] >> v & 1 and cu == self._adj[v] | 1 << v:
-                    pairs.append((u, v))
-        return pairs
+        """Adjacent pairs u < v with N[u] = N[v], lexicographically sorted.
+
+        Equal closed rows force adjacency: u is in N[u] = N[v].
+        """
+        return _equal_row_pairs(m | 1 << v for v, m in enumerate(self._adj))
 
     def open_twins(self) -> list[tuple[int, int]]:
         """Non-adjacent pairs u < v with N(u) = N(v), lexicographically sorted.
 
-        Two isolated vertices qualify: both open neighborhoods are empty.
+        Equal open rows force non-adjacency: u is not in N(u) = N(v).  Two
+        isolated vertices qualify: both open neighborhoods are empty.
         """
-        pairs = []
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if not self._adj[u] >> v & 1 and self._adj[u] == self._adj[v]:
-                    pairs.append((u, v))
-        return pairs
+        return _equal_row_pairs(self._adj)
 
     def is_twin_free(self) -> bool:
         """True iff the graph has neither closed nor open twins."""
@@ -257,6 +251,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _equal_row_pairs(rows: Iterable[int]) -> list[tuple[int, int]]:
+    """Pairs u < v with rows[u] == rows[v], lexicographically sorted.
+
+    Vertices are grouped by row in one pass, so only pairs inside a group
+    are ever formed.
+    """
+    groups: dict[int, list[int]] = {}
+    for v, row in enumerate(rows):
+        groups.setdefault(row, []).append(v)
+    return sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:

@@ -70,7 +70,7 @@ class Hypergraph:
 
     def dump_lines(self) -> list[str]:
         """Canonical dump: one line per edge, ids ascending, edges lex-sorted."""
-        rows = sorted(VertexSet(self.n, m).sorted_ids() for m in self.edges)
+        rows = sorted(list(_ids(m)) for m in self.edges)
         return [" ".join(map(str, row)) for row in rows]
 
     def __repr__(self) -> str:
@@ -197,18 +197,19 @@ def _greedy_mask(inc: list[int], live: int) -> int:
 
 
 def greedy_cover(h: Hypergraph) -> CoverResult:
-    """Greedy max-coverage heuristic cover.
+    """Greedy max-coverage heuristic cover of the inclusion-minimal edges.
 
     Flagged optimal only when the greedy size matches the disjoint-packing
     lower bound of the hypergraph.
     """
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    chosen = _greedy_mask(_incidence(h.n, h.edges), (1 << len(h.edges)) - 1)
+    masks = _minimal_masks(h.edges)
+    inc = _incidence(h.n, masks)
+    live = (1 << len(masks)) - 1
+    chosen = _greedy_mask(inc, live)
     size = chosen.bit_count()
-    reduced = _minimal_masks(h.edges)
-    bound = _packing(reduced, _incidence(h.n, reduced), (1 << len(reduced)) - 1, 0, size)
-    return CoverResult(size, VertexSet(h.n, chosen), size == bound, 0)
+    return CoverResult(size, VertexSet(h.n, chosen), size == _packing(masks, inc, live, 0, size), 0)
 
 
 def _bit_slices(counts: list[int]) -> list[int]:

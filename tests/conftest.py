@@ -13,6 +13,7 @@ from typing import Iterable
 
 from sepcodes import (
     DEFAULT_NODE_BUDGET,
+    CodeKind,
     CoverResult,
     EmptyHyperedgeError,
     Graph,
@@ -250,6 +251,72 @@ def full_separating_d(g: Graph, c: VertexSet) -> bool:
 
 FULL_SEPARATION_ORACLES = (full_separating_a, full_separating_b,
                            full_separating_c, full_separating_d)
+
+
+# --- pair scans: twins and the distance-2 FD/FTD verifier ----------------
+#
+# The library finds twins by grouping equal neighborhood rows and verifies
+# FD/FTD codes as domination plus closed and open separation.  These are
+# the pair-by-pair formulations they replaced, kept as references.
+
+
+def reference_closed_twins(g: Graph) -> list[tuple[int, int]]:
+    """Adjacent pairs u < v with N[u] = N[v], by scanning every pair."""
+    pairs = []
+    for u in range(g.n):
+        cu = g.neighbor_mask(u) | 1 << u
+        for v in range(u + 1, g.n):
+            if g.neighbor_mask(u) >> v & 1 and cu == g.neighbor_mask(v) | 1 << v:
+                pairs.append((u, v))
+    return pairs
+
+
+def reference_open_twins(g: Graph) -> list[tuple[int, int]]:
+    """Non-adjacent pairs u < v with N(u) = N(v), by scanning every pair."""
+    pairs = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.neighbor_mask(u) >> v & 1 and g.neighbor_mask(u) == g.neighbor_mask(v):
+                pairs.append((u, v))
+    return pairs
+
+
+def _separates_near_pairs(g: Graph, cm: int) -> bool:
+    # Full separation restricted to pairs at distance <= 2 (adjacent or
+    # sharing a neighbor), via the punctured symmetric difference.
+    n = g.n
+    for u in range(n):
+        nu = g.neighbor_mask(u)
+        for v in range(u + 1, n):
+            nv = g.neighbor_mask(v)
+            if not (nu >> v & 1 or nu & nv):
+                continue
+            if not (nu ^ nv) & ~(1 << u | 1 << v) & cm:
+                return False
+    return True
+
+
+def distance2_full_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
+    """Distance-2 verifier for the full-separation codes FD and FTD.
+
+    Pairs at distance >= 3 have disjoint neighborhoods, so (total-)
+    domination already separates them, except that under FD at most one
+    vertex may have no code neighbor; only pairs at distance <= 2 need an
+    explicit check.
+    """
+    if kind not in (CodeKind.FD, CodeKind.FTD):
+        raise ValueError("the distance-2 verifier applies to FD and FTD only")
+    cm = c.mask
+    if kind is CodeKind.FTD:
+        if not all(g.neighbor_mask(v) & cm for v in range(g.n)):
+            return False
+    else:
+        if not all(g.closed_neighbor_mask(v) & cm for v in range(g.n)):
+            return False
+        unreached = sum(1 for v in range(g.n) if not g.neighbor_mask(v) & cm)
+        if unreached > 1:
+            return False
+    return _separates_near_pairs(g, cm)
 
 
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:

@@ -78,13 +78,13 @@ class TestSolve:
 
 
 class TestVerify:
-    def test_accept_with_fast_verdict(self):
+    def test_accept_report_fields(self):
         code, report = run_json(
             "verify", "--family", "path:4", "--kind", "fd", "--code", "0", "1", "2", "3"
         )
         assert code == 0
-        result = report["results"][0]
-        assert result["accepted"] and result["fast_accepted"]
+        assert report["format_version"] == "3"
+        assert report["results"] == [{"kind": "FD", "code": [0, 1, 2, 3], "accepted": True}]
 
     def test_reject_empty(self):
         code, report = run_json("verify", "--family", "path:4", "--kind", "fd")
@@ -99,9 +99,13 @@ class TestVerify:
         )
         assert report["results"][0]["accepted"]
 
-    def test_no_fast_verdict_for_other_kinds(self):
-        _, report = run_json("verify", "--family", "path:4", "--kind", "id", "--code", "0", "2", "3")
-        assert report["results"][0]["fast_accepted"] is None
+    def test_one_verdict_line_for_every_kind(self):
+        for kind, code, verdict in (("fd", "023", "reject"), ("ftd", "0123", "accept"),
+                                    ("ld", "023", "accept")):
+            _, out = run_cli("verify", "--family", "path:4", "--kind", kind, "--code", *code)
+            assert [line for line in out.splitlines() if "verdict" in line] == [
+                f"verdict: {verdict}"
+            ]
 
 
 class TestRelations:

@@ -18,6 +18,7 @@ from sepcodes import (
     VertexSet,
     build_hypergraph,
     disjoint_union,
+    format_edge_list,
     forced_vertices,
     ftd_code_path_cycle,
     generate,
@@ -38,6 +39,7 @@ from sepcodes.sat_reduction import CnfFormula, build_gadget
 from conftest import (
     FULL_SEPARATION_ORACLES,
     complete_graph,
+    distance2_full_code,
     ids,
     random_subset,
     random_twin_free_graph,
@@ -127,6 +129,14 @@ class TestAdmissibility:
         g = disjoint_union(path(4), Graph.from_edges(1, []))
         assert "isolated" in admissibility_failure(g, CodeKind.LTD)
 
+    def test_failure_names_lexicographically_first_twins(self):
+        # twin pairs (0, 3) and (1, 2): the lexicographically first pair is
+        # named, not the one with the smaller larger vertex
+        closed = Graph.from_edges(4, [(0, 3), (1, 2)])
+        assert admissibility_failure(closed, CodeKind.ID) == "closed twins (0, 3)"
+        open_ = Graph.from_edges(6, [(0, 4), (3, 4), (1, 5), (2, 5)])
+        assert admissibility_failure(open_, CodeKind.FD) == "open twins (0, 3)"
+
 
 class TestVerifyCode:
     def test_path4_full_vertex_set_is_fd_code(self):
@@ -190,18 +200,29 @@ class TestFullSeparatingVariants:
 
 class TestVerifyCodeFast:
     def test_agrees_with_definition(self):
+        # the definitional verifier against the distance-2 oracle; codes
+        # are drawn dense so that both verdicts occur often
         rng = random.Random(33)
-        for _ in range(300):
-            n = rng.randint(1, 12)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            n = rng.randint(0, 12)
             g = random_gnp(n, rng.random(), rng)
+            if rng.random() < 0.25:
+                g = disjoint_union(g, Graph.from_edges(rng.randint(1, 2), []))
             kind = rng.choice([CodeKind.FD, CodeKind.FTD])
-            c = random_subset(n, rng)
-            assert verify_code_fast(g, kind, c) == verify_code(g, kind, c)
+            full = (1 << g.n) - 1
+            c = VertexSet(g.n, full & ~(rng.getrandbits(g.n) & rng.getrandbits(g.n)))
+            want = distance2_full_code(g, kind, c)
+            assert verify_code(g, kind, c) == want, (format_edge_list(g), kind, c)
+            assert verify_code_fast(g, kind, c) == want
+            verdicts[want] += 1
+        assert min(verdicts.values()) > 50, verdicts
 
     def test_cycle12_constructive_code(self):
         g = cycle(12)
         code = ftd_code_path_cycle(12, cyclic=True)
         assert verify_code_fast(g, CodeKind.FTD, code)
+        assert distance2_full_code(g, CodeKind.FTD, code)
 
     def test_two_unreached_vertices_fail_fd(self):
         # {0,3} dominates the path but leaves both endpoints without a
@@ -210,6 +231,7 @@ class TestVerifyCodeFast:
         c = VertexSet.of(4, [0, 3])
         assert not verify_code_fast(g, CodeKind.FD, c)
         assert not verify_code(g, CodeKind.FD, c)
+        assert not distance2_full_code(g, CodeKind.FD, c)
 
     def test_rejects_other_kinds(self):
         with pytest.raises(ValueError):

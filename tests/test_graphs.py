@@ -18,7 +18,7 @@ from sepcodes import (
     random_gnp,
 )
 
-from conftest import complete_graph
+from conftest import complete_graph, reference_closed_twins, reference_open_twins
 
 
 def path(n):
@@ -133,6 +133,28 @@ class TestTwins:
                 assert g.adjacent(u, v)
             for u, v in g.open_twins():
                 assert not g.adjacent(u, v)
+
+    def test_matches_pair_scan_reference(self):
+        rng = random.Random(71)
+        graphs = [complete_graph(k) for k in range(6)]
+        graphs += [Graph.from_edges(k, []) for k in range(4)]  # isolated pairs
+        graphs.append(disjoint_union(complete_graph(3), Graph.from_edges(2, [])))
+        graphs.append(disjoint_union(path(3), path(3)))
+        graphs.append(disjoint_union(cycle(4), complete_graph(2)))
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            g = random_gnp(n, rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
+            if rng.random() < 0.3:  # disconnected, with twins across components
+                g = disjoint_union(g, g)
+            graphs.append(g)
+        for g in graphs:
+            assert g.closed_twins() == reference_closed_twins(g), format_edge_list(g)
+            assert g.open_twins() == reference_open_twins(g), format_edge_list(g)
+            assert g.is_twin_free() == (
+                not reference_closed_twins(g) and not reference_open_twins(g)
+            )
+        assert sum(bool(g.closed_twins()) for g in graphs) > 50
+        assert sum(bool(g.open_twins()) for g in graphs) > 50
 
 
 class TestIsolatedAndDistance:

@@ -304,8 +304,11 @@ class TestKernelMatchesReference:
             full = (1 << len(h.edges)) - 1
             want = reference_greedy_mask(h.n, h.edges)
             assert _greedy_mask(_incidence(h.n, h.edges), full) == want, h.edges
+            # greedy_cover runs greedy and packing on the reduced edges
+            reduced = reference_minimal_masks(h.edges)
+            want = reference_greedy_mask(h.n, reduced)
             res = greedy_cover(h)
-            bound = reference_packing_lower_bound(reference_minimal_masks(h.edges))
+            bound = reference_packing_lower_bound(reduced)
             assert (res.witness.mask, res.optimal) == (want, want.bit_count() == bound)
 
     def test_empty_masks_leave_one(self):
