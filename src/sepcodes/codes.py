@@ -15,9 +15,11 @@ The hyperedge recipe per type is a triple of families:
 This module also provides the admissibility test, one definitional
 verifier per separation flavor (independent of the hypergraph route; full
 separation is closed plus open separation), full-separation forced
-vertices, and the end-to-end exact X-number computation.  Admissibility and
-the verifiers make one pass over the vertices; only the hypergraph build
-and forced vertices scan vertex pairs.
+vertices, and the end-to-end exact X-number computation.  Admissibility,
+the verifiers and forced vertices work on neighborhood rows (one pass
+over the vertices, plus one row lookup per edge end for forced
+vertices); only the hypergraph build visits vertex pairs, since its
+output holds one edge per pair.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, bit_ids
 from .hypergraphs import CoverResult, Hypergraph, min_cover
 
 
@@ -124,24 +126,20 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     """
     fam = FAMILIES[kind]
     n = g.n
-    masks: list[int] = []
-    if fam.domination is Nbhd.CLOSED:
-        masks.extend(g.closed_neighbor_mask(v) for v in range(n))
-    else:
-        masks.extend(g.neighbor_mask(v) for v in range(n))
-    for want_adjacent, flavor in ((True, fam.adjacent_pairs), (False, fam.nonadjacent_pairs)):
-        closed = flavor is Nbhd.CLOSED
-        for u in range(n):
-            row = g.neighbor_mask(u)
-            cu = row | 1 << u
-            for v in range(u + 1, n):
-                if (row >> v & 1 == 1) != want_adjacent:
-                    continue
-                if closed:
-                    masks.append(cu ^ (g.neighbor_mask(v) | 1 << v))
-                else:
-                    masks.append(row ^ g.neighbor_mask(v))
-    return Hypergraph(n, masks)
+    open_rows = [g.neighbor_mask(v) for v in range(n)]
+    rows = {Nbhd.OPEN: open_rows, Nbhd.CLOSED: [row | 1 << v for v, row in enumerate(open_rows)]}
+    adj_rows, non_rows = rows[fam.adjacent_pairs], rows[fam.nonadjacent_pairs]
+    adjacent: list[int] = []
+    nonadjacent: list[int] = []
+    # The one pass over vertex pairs: every pair contributes one edge.
+    for u, row in enumerate(open_rows):
+        au, nu = adj_rows[u], non_rows[u]
+        for v in range(u + 1, n):
+            if row >> v & 1:
+                adjacent.append(au ^ adj_rows[v])
+            else:
+                nonadjacent.append(nu ^ non_rows[v])
+    return Hypergraph(n, rows[fam.domination] + adjacent + nonadjacent)
 
 
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
@@ -267,16 +265,27 @@ def forced_vertices(g: Graph) -> VertexSet:
 
     A vertex w is forced when it is the single element of the punctured
     symmetric difference (N(u)-{v}) sym (N(v)-{u}) of some pair u,v: that
-    set must be hit, and w is the only candidate.
+    set must be hit, and w is the only candidate.  Take u to be the member
+    adjacent to w.  The difference is {w} exactly when v's open row is
+    N(u)-{w} (v not adjacent to u) or v's closed row is N[u]-{w} (v
+    adjacent to u); an isolated v paired with a pendant u is the first
+    case.  So each w in N(u) is one row lookup, and u is skipped unless
+    some vertex has degree deg(u)-1, which both cases need.
     """
-    forced = 0
     n = g.n
-    for u in range(n):
-        nu = g.neighbor_mask(u)
-        for v in range(u + 1, n):
-            punctured = (nu ^ g.neighbor_mask(v)) & ~(1 << u | 1 << v)
-            if punctured and punctured & (punctured - 1) == 0:
-                forced |= punctured
+    rows = [g.neighbor_mask(v) for v in range(n)]
+    open_rows = set(rows)
+    closed_rows = {row | 1 << v for v, row in enumerate(rows)}
+    degrees = {row.bit_count() for row in rows}
+    forced = 0
+    for u, row in enumerate(rows):
+        if row.bit_count() - 1 not in degrees:
+            continue
+        closed = row | 1 << u
+        for w in bit_ids(row & ~forced):
+            bit = 1 << w
+            if row ^ bit in open_rows or closed ^ bit in closed_rows:
+                forced |= bit
     return VertexSet(n, forced)
 
 

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .codes import CodeKind
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, check_vertex_count
 
 
 class Family(enum.Enum):
@@ -56,6 +56,9 @@ class FamilySpec:
                 f"{self.family.value} requires parameter >= {_MIN_SIZE[self.family]},"
                 f" got {self.size}"
             )
+        # Refused here, before generate() lists the edges.
+        check_vertex_count(self.size if self.family in (Family.PATH, Family.CYCLE)
+                           else 2 * self.size)
 
     def __str__(self) -> str:
         return f"{self.family.value}:{self.size}"

@@ -12,16 +12,37 @@ across threads.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterable, Iterator
+
+# Largest vertex count a graph may have.  Graph.from_edges and FamilySpec
+# refuse larger counts before allocating rows or edge lists, so a bad
+# header or family size fails with a message instead of a MemoryError.
+MAX_VERTICES = 100_000
 
 
 class GraphFormatError(ValueError):
-    """Bad graph input: self-loop, out-of-range id, or malformed edge list."""
+    """Bad graph input: self-loop, out-of-range id, too many vertices, or
+    malformed edge list."""
 
 
 class UniverseMismatchError(ValueError):
     """Two fixed-universe sets (or hypergraphs) with different universe sizes."""
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise GraphFormatError unless 0 <= n <= MAX_VERTICES."""
+    if n < 0:
+        raise GraphFormatError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
+def bit_ids(mask: int) -> Iterator[int]:
+    """The set bits of a non-negative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class VertexSet:
@@ -85,11 +106,7 @@ class VertexSet:
         return 0 <= v < self.n and self.mask >> v & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return bit_ids(self.mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -117,8 +134,9 @@ class VertexSet:
 class Graph:
     """Finite simple undirected graph with adjacency stored as bitmasks.
 
-    Duplicate edges in the input are silently deduplicated; self-loops are
-    rejected.  Disconnected graphs (including isolated vertices) are legal.
+    Duplicate edges in the input are silently deduplicated; self-loops and
+    more than :data:`MAX_VERTICES` vertices are rejected.  Disconnected
+    graphs (including isolated vertices) are legal.
     """
 
     __slots__ = ("n", "_adj")
@@ -132,8 +150,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 0:
-            raise GraphFormatError("vertex count must be non-negative")
+        check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -220,28 +237,6 @@ class Graph:
     def is_twin_free(self) -> bool:
         """True iff the graph has neither closed nor open twins."""
         return not self.closed_twins() and not self.open_twins()
-
-    def distance(self, u: int, v: int) -> int | float:
-        """Shortest-path edge count between u and v; math.inf if disconnected."""
-        self._require_vertex(u)
-        self._require_vertex(v)
-        if u == v:
-            return 0
-        visited = frontier = 1 << u
-        d = 0
-        while frontier:
-            d += 1
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                nxt |= self._adj[low.bit_length() - 1]
-                frontier ^= low
-            nxt &= ~visited
-            if nxt >> v & 1:
-                return d
-            visited |= nxt
-            frontier = nxt
-        return math.inf
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

@@ -32,9 +32,9 @@ non-optimal (never silently truncated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .graphs import UniverseMismatchError, VertexSet
+from .graphs import UniverseMismatchError, VertexSet, bit_ids
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -70,7 +70,7 @@ class Hypergraph:
 
     def dump_lines(self) -> list[str]:
         """Canonical dump: one line per edge, ids ascending, edges lex-sorted."""
-        rows = sorted(list(_ids(m)) for m in self.edges)
+        rows = sorted(list(bit_ids(m)) for m in self.edges)
         return [" ".join(map(str, row)) for row in rows]
 
     def __repr__(self) -> str:
@@ -143,19 +143,11 @@ def remove_redundant(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, _minimal_masks(h.edges))
 
 
-def _ids(m: int) -> Iterator[int]:
-    """The set bits of m, ascending."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
 def _incidence(n: int, masks: Sequence[int]) -> list[int]:
     """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i]."""
     inc = [0] * n
     for i, m in enumerate(masks):
-        for v in _ids(m):
+        for v in bit_ids(m):
             inc[v] |= 1 << i
     return inc
 
@@ -216,7 +208,7 @@ def _bit_slices(counts: list[int]) -> list[int]:
     """Planes over edge indices: bit i of plane j is bit j of counts[i]."""
     planes = [0] * max(counts, default=0).bit_length()
     for i, c in enumerate(counts):
-        for j in _ids(c):
+        for j in bit_ids(c):
             planes[j] |= 1 << i
     return planes
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .codes import CodeKind, is_full_separating
 from .graphs import Graph, VertexSet
@@ -271,23 +271,3 @@ def assignment_from_code(gg: GadgetGraph, code: VertexSet) -> tuple[bool, ...] |
 def gadget_label_map(gg: GadgetGraph) -> dict[str, int]:
     """Name -> id map in deterministic (id) order, for serialization."""
     return dict(sorted(gg.labels.items(), key=lambda kv: kv[1]))
-
-
-def exhaustive_small_formulas(max_vars: int, max_clauses: int) -> Iterable[CnfFormula]:
-    """Every formula (up to clause multiset equality) with each variable used.
-
-    Clauses range over all sign patterns of all non-empty variable subsets
-    of size <= 3; formulas where some variable never occurs are skipped,
-    since their gadgets are inadmissible by construction.
-    """
-    for n in range(1, max_vars + 1):
-        pool: list[tuple[int, ...]] = []
-        for size in range(1, min(3, n) + 1):
-            for vars_ in itertools.combinations(range(1, n + 1), size):
-                for signs in itertools.product((1, -1), repeat=size):
-                    pool.append(tuple(v * s for v, s in zip(vars_, signs)))
-        for m in range(1, max_clauses + 1):
-            for combo in itertools.combinations_with_replacement(pool, m):
-                used = {abs(lit) for clause in combo for lit in clause}
-                if len(used) == n:
-                    yield CnfFormula(n, combo)

@@ -13,6 +13,7 @@ from typing import Iterable
 
 from sepcodes import (
     DEFAULT_NODE_BUDGET,
+    CnfFormula,
     CodeKind,
     CoverResult,
     EmptyHyperedgeError,
@@ -21,6 +22,7 @@ from sepcodes import (
     VertexSet,
     random_gnp,
 )
+from sepcodes.codes import FAMILIES, Nbhd
 
 
 def ids(mask: int, n: int) -> set[int]:
@@ -253,11 +255,13 @@ FULL_SEPARATION_ORACLES = (full_separating_a, full_separating_b,
                            full_separating_c, full_separating_d)
 
 
-# --- pair scans: twins and the distance-2 FD/FTD verifier ----------------
+# --- pair scans -----------------------------------------------------------
 #
-# The library finds twins by grouping equal neighborhood rows and verifies
-# FD/FTD codes as domination plus closed and open separation.  These are
-# the pair-by-pair formulations they replaced, kept as references.
+# The library finds twins by grouping equal neighborhood rows, finds forced
+# vertices by row lookup, builds the X-hypergraph in one pass over pairs
+# and verifies FD/FTD codes as domination plus closed and open separation.
+# These are the pair-by-pair formulations they replaced, kept as
+# references.
 
 
 def reference_closed_twins(g: Graph) -> list[tuple[int, int]]:
@@ -279,6 +283,54 @@ def reference_open_twins(g: Graph) -> list[tuple[int, int]]:
             if not g.neighbor_mask(u) >> v & 1 and g.neighbor_mask(u) == g.neighbor_mask(v):
                 pairs.append((u, v))
     return pairs
+
+
+def reference_forced_vertices(g: Graph) -> VertexSet:
+    """Vertices that belong to every full-separating set of g.
+
+    A vertex w is forced when it is the single element of the punctured
+    symmetric difference (N(u)-{v}) sym (N(v)-{u}) of some pair u,v: that
+    set must be hit, and w is the only candidate.
+    """
+    forced = 0
+    n = g.n
+    for u in range(n):
+        nu = g.neighbor_mask(u)
+        for v in range(u + 1, n):
+            punctured = (nu ^ g.neighbor_mask(v)) & ~(1 << u | 1 << v)
+            if punctured and punctured & (punctured - 1) == 0:
+                forced |= punctured
+    return VertexSet(n, forced)
+
+
+def reference_build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
+    """The X-hypergraph of g whose covers are exactly the X-codes of g.
+
+    Edge order is deterministic: all neighborhoods by vertex id, then
+    symmetric differences of all adjacent pairs in lexicographic order,
+    then of all non-adjacent pairs in lexicographic order.  Non-admissible
+    graphs simply yield a hypergraph containing an empty hyperedge.
+    """
+    fam = FAMILIES[kind]
+    n = g.n
+    masks: list[int] = []
+    if fam.domination is Nbhd.CLOSED:
+        masks.extend(g.closed_neighbor_mask(v) for v in range(n))
+    else:
+        masks.extend(g.neighbor_mask(v) for v in range(n))
+    for want_adjacent, flavor in ((True, fam.adjacent_pairs), (False, fam.nonadjacent_pairs)):
+        closed = flavor is Nbhd.CLOSED
+        for u in range(n):
+            row = g.neighbor_mask(u)
+            cu = row | 1 << u
+            for v in range(u + 1, n):
+                if (row >> v & 1 == 1) != want_adjacent:
+                    continue
+                if closed:
+                    masks.append(cu ^ (g.neighbor_mask(v) | 1 << v))
+                else:
+                    masks.append(row ^ g.neighbor_mask(v))
+    return Hypergraph(n, masks)
 
 
 def _separates_near_pairs(g: Graph, cm: int) -> bool:
@@ -317,6 +369,26 @@ def distance2_full_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
         if unreached > 1:
             return False
     return _separates_near_pairs(g, cm)
+
+
+def exhaustive_small_formulas(max_vars: int, max_clauses: int) -> Iterable[CnfFormula]:
+    """Every formula (up to clause multiset equality) with each variable used.
+
+    Clauses range over all sign patterns of all non-empty variable subsets
+    of size <= 3; formulas where some variable never occurs are skipped,
+    since their gadgets are inadmissible by construction.
+    """
+    for n in range(1, max_vars + 1):
+        pool: list[tuple[int, ...]] = []
+        for size in range(1, min(3, n) + 1):
+            for vars_ in itertools.combinations(range(1, n + 1), size):
+                for signs in itertools.product((1, -1), repeat=size):
+                    pool.append(tuple(v * s for v, s in zip(vars_, signs)))
+        for m in range(1, max_clauses + 1):
+            for combo in itertools.combinations_with_replacement(pool, m):
+                used = {abs(lit) for clause in combo for lit in clause}
+                if len(used) == n:
+                    yield CnfFormula(n, combo)
 
 
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:

@@ -44,11 +44,11 @@ from sepcodes import (
 )
 from sepcodes.cli import main as cli_main
 from sepcodes.codes import is_closed_separating, is_open_separating
-from sepcodes.sat_reduction import exhaustive_small_formulas
 
 from conftest import (
     FULL_SEPARATION_ORACLES,
     brute_force_tau,
+    exhaustive_small_formulas,
     random_subset,
     random_twin_free_graph,
 )

@@ -76,6 +76,16 @@ class TestSolve:
             monkeypatch.setenv("SEPCODES_BUDGET", budget)
             assert run_cli("solve", "--family", "path:12", "--kind", "ftd")[0] == 1
 
+    def test_oversized_vertex_count_refused(self, tmp_path, capsys):
+        huge = tmp_path / "huge.edges"
+        huge.write_text("1000000000 0\n", encoding="utf-8")
+        for argv in (("solve", str(huge), "--kind", "fd"),
+                     ("solve", "--family", "path:1000000000", "--kind", "fd"),
+                     ("family", "path:1000000000"),
+                     ("family", "thick:1000000000")):
+            assert run_cli(*argv)[0] == 1
+            assert "exceeds the limit" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_accept_report_fields(self):

@@ -34,15 +34,19 @@ from sepcodes import (
 )
 from sepcodes import codes
 from sepcodes.codes import admissibility_failure, is_closed_separating, is_open_separating
+from sepcodes.families import graph_from_spec_string
 from sepcodes.sat_reduction import CnfFormula, build_gadget
 
 from conftest import (
     FULL_SEPARATION_ORACLES,
     complete_graph,
     distance2_full_code,
+    exhaustive_small_formulas,
     ids,
     random_subset,
     random_twin_free_graph,
+    reference_build_hypergraph,
+    reference_forced_vertices,
 )
 
 ALL_KINDS = list(CodeKind)
@@ -58,6 +62,37 @@ def cycle(n):
 
 def half(k):
     return generate(FamilySpec(Family.HALF_GRAPH, k))
+
+
+def with_isolated_and_pendants(g, rng):
+    """g plus 1-3 pendant paths of 1-3 vertices, each hung from a random
+    vertex of g (or left free if g is empty), plus 1-3 isolated vertices."""
+    edges = list(g.edges())
+    n = g.n
+    for _ in range(rng.randint(1, 3)):
+        prev = rng.randrange(g.n) if g.n else None
+        for _ in range(rng.randint(1, 3)):
+            if prev is not None:
+                edges.append((prev, n))
+            prev = n
+            n += 1
+    return Graph.from_edges(n + rng.randint(1, 3), edges)
+
+
+def seeded_graphs(seed, count):
+    """Seeded G(n, p) graphs, n = 0..12, every other one with isolated
+    vertices and pendant paths added, every third one doubled into two
+    components."""
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        g = random_gnp(i % 13, rng.choice((0.1, 0.3, 0.5, 0.8)), rng)
+        if i % 2:
+            g = with_isolated_and_pendants(g, rng)
+        if i % 3 == 0:
+            g = disjoint_union(g, random_gnp(rng.randint(0, 5), 0.5, rng))
+        graphs.append(g)
+    return graphs
 
 
 class TestCodeKind:
@@ -99,6 +134,15 @@ class TestBuildHypergraph:
 
     def test_closed_twins_give_empty_edge_for_id(self):
         assert build_hypergraph(path(2), CodeKind.ID).has_empty_edge()
+
+    def test_matches_two_pass_reference(self):
+        graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(3, []),
+                  path(2), cycle(5), half(3), disjoint_union(cycle(4), path(3)),
+                  *seeded_graphs(61, 300)]
+        for g in graphs:
+            for kind in ALL_KINDS:
+                assert build_hypergraph(g, kind) == reference_build_hypergraph(g, kind), (
+                    kind, format_edge_list(g))
 
 
 class TestAdmissibility:
@@ -252,6 +296,32 @@ class TestForcedVertices:
 
     def test_complete_graph_has_none(self):
         assert not forced_vertices(complete_graph(4))
+
+    def test_isolated_vertex_forces_pendant_neighbor(self):
+        # In P3 the middle vertex is forced by no pair; an isolated vertex
+        # z makes {1} the punctured difference of the pairs (0, z), (2, z).
+        assert 1 not in forced_vertices(path(3))
+        g = disjoint_union(path(3), Graph.from_edges(1, []))
+        assert 1 in forced_vertices(g)
+        assert forced_vertices(g) == reference_forced_vertices(g)
+
+    def test_matches_pair_scan_reference(self):
+        graphs = seeded_graphs(67, 600)
+        assert sum(bool(reference_forced_vertices(g)) for g in graphs) > 300
+        for g in graphs:
+            assert forced_vertices(g) == reference_forced_vertices(g), format_edge_list(g)
+
+    def test_gadgets_match_reference(self):
+        formulas = list(exhaustive_small_formulas(2, 2))[::7]
+        formulas.append(CnfFormula(3, ((1, -2, 3), (-1, 2, -3), (2, 3))))
+        for f in formulas:
+            g = build_gadget(f).graph
+            assert forced_vertices(g) == reference_forced_vertices(g), f
+
+    def test_families_match_reference(self):
+        for spec in ("path:400", "cycle:600", "half:150", "thin:150", "thick:100"):
+            g = graph_from_spec_string(spec)[0]
+            assert forced_vertices(g) == reference_forced_vertices(g), spec
 
     def test_forced_subset_of_every_solved_code(self):
         rng = random.Random(41)

@@ -18,6 +18,7 @@ from sepcodes import (
     x_number,
 )
 from sepcodes.families import graph_from_spec_string, parse_family_spec
+from sepcodes.graphs import MAX_VERTICES, GraphFormatError
 
 from conftest import graphs_isomorphic
 
@@ -59,6 +60,15 @@ class TestGenerate:
             spec(Family.THIN_SPIDER, 1)
         with pytest.raises(ValueError):
             spec(Family.PATH, 0)
+
+    def test_vertex_count_limit(self):
+        # path/cycle parameters count vertices; the others count k of 2k.
+        spec(Family.CYCLE, MAX_VERTICES)
+        spec(Family.THICK_SPIDER, MAX_VERTICES // 2)
+        for family, size in ((Family.PATH, MAX_VERTICES + 1),
+                             (Family.HALF_GRAPH, MAX_VERTICES // 2 + 1)):
+            with pytest.raises(GraphFormatError, match="exceeds the limit"):
+                spec(family, size)
 
 
 class TestFormulas:

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -17,6 +16,7 @@ from sepcodes import (
     parse_edge_list,
     random_gnp,
 )
+from sepcodes.graphs import MAX_VERTICES
 
 from conftest import complete_graph, reference_closed_twins, reference_open_twins
 
@@ -157,24 +157,12 @@ class TestTwins:
         assert sum(bool(g.open_twins()) for g in graphs) > 50
 
 
-class TestIsolatedAndDistance:
+class TestIsolated:
     def test_isolated(self):
         g = disjoint_union(path(4), Graph.from_edges(1, []))
         assert g.isolated_vertices() == VertexSet.of(5, [4])
         assert not cycle(5).isolated_vertices()
         assert Graph.from_edges(2, []).isolated_vertices() == VertexSet.of(2, [0, 1])
-
-    def test_distance(self):
-        g = path(4)
-        assert g.distance(0, 3) == 3
-        assert g.distance(2, 2) == 0
-        two = Graph.from_edges(2, [])
-        assert two.distance(0, 1) == math.inf
-
-    def test_distance_cycle(self):
-        g = cycle(6)
-        assert g.distance(0, 3) == 3
-        assert g.distance(0, 5) == 1
 
 
 class TestGraphConstruction:
@@ -189,6 +177,13 @@ class TestGraphConstruction:
     def test_out_of_range_edge(self):
         with pytest.raises(GraphFormatError):
             Graph.from_edges(3, [(0, 3)])
+
+    def test_vertex_count_limit(self):
+        assert Graph.from_edges(MAX_VERTICES, []).n == MAX_VERTICES
+        with pytest.raises(GraphFormatError, match="exceeds the limit"):
+            Graph.from_edges(MAX_VERTICES + 1, [])
+        with pytest.raises(GraphFormatError, match="exceeds the limit"):
+            parse_edge_list("1000000000 0\n")
 
     def test_edge_order_independent(self):
         edges = [(0, 1), (1, 2), (2, 3), (0, 3)]

@@ -17,7 +17,9 @@ from sepcodes import (
     verify_code,
     x_number,
 )
-from sepcodes.sat_reduction import exhaustive_small_formulas, satisfies
+from sepcodes.sat_reduction import satisfies
+
+from conftest import exhaustive_small_formulas
 
 
 class TestParseDimacs:
