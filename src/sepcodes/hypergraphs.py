@@ -23,6 +23,18 @@ unit edges and the branching edge each take a few whole-set operations,
 and banning v is one borrow-chain decrement on ``inc[v] & live``.  The
 search is an iterative depth-first loop over an explicit stack.
 
+A transposition table (branch-and-bound with caching, Kitching and
+Bacchus, CP 2008) maps the live edges of each finished branching node
+to ``best - count``, a lower bound on every cover R of them, banned
+vertices included: ``chosen | R`` is a cover whose route down the tree
+(to the child of its first member of each branching edge) ends in that
+subtree or in an earlier sibling of an ancestor, all searched already.
+A later node with the same live edges is cut when ``count`` plus the
+bound reaches the incumbent.  Cuts remove only subtrees without a
+strictly better cover, so the incumbents, and the witness of a proven
+search, are those of the search without the table.  A full table
+(``TABLE_LIMIT`` entries) is cleared.
+
 The search is sequential and fully deterministic: the witness is the
 first optimum reached under this fixed order.  A node budget caps the
 search; exceeding it yields the best cover found so far, flagged
@@ -37,6 +49,9 @@ from typing import Iterable, Sequence
 from .graphs import UniverseMismatchError, VertexSet, bit_ids
 
 DEFAULT_NODE_BUDGET = 10_000_000
+
+# Entry limit of min_cover's transposition table; a full table is cleared.
+TABLE_LIMIT = 1024
 
 
 class EmptyHyperedgeError(ValueError):
@@ -229,6 +244,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     best_size = best_mask.bit_count()
     nodes = 0
     exhausted = False
+    table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
     # A node is (chosen, count, banned, live, planes): the chosen vertices
     # and their number, the vertices banned by earlier siblings, the edges
     # not yet hit by chosen, and the bit-sliced count of each live edge's
@@ -237,6 +253,11 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices([m.bit_count() for m in masks]))]
     while stack:
         chosen, count, banned, live, planes = stack.pop()
+        if planes is None:  # close marker: the subtree above it is finished
+            if len(table) >= TABLE_LIMIT:
+                table.clear()
+            table[live] = best_size - count
+            continue
         nodes += 1
         if nodes > budget:
             exhausted = True
@@ -273,6 +294,8 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 continue
             if count + 1 >= best_size:
                 continue
+        if count + table.get(live, 0) >= best_size:
+            continue
         if count + _packing(masks, inc, live, banned, best_size - count) >= best_size:
             continue
         # Branch on the first live edge of minimum allowed count, members
@@ -282,6 +305,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
             if least & ~p:
                 least &= ~p
         pick = masks[(least & -least).bit_length() - 1] & allowed
+        stack.append((0, count, 0, live, None))  # close marker, popped after the children
         children = []
         while True:
             low = pick & -pick

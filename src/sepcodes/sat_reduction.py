@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .codes import CodeKind, is_full_separating
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, check_vertex_count
 
 BRUTE_FORCE_VAR_CAP = 24
 
@@ -180,9 +180,11 @@ def build_gadget(formula: CnfFormula) -> GadgetGraph:
     A variable that occurs in no clause leaves its two literal vertices
     with identical neighborhoods, which makes the graph inadmissible for
     the full-separation codes; the size correspondence presumes every
-    variable occurs somewhere.
+    variable occurs somewhere.  Raises GraphFormatError before building
+    anything when 10n + 3m exceeds the graph vertex limit.
     """
     n, m = formula.num_vars, formula.num_clauses
+    check_vertex_count(10 * n + 3 * m)
     labels: dict[str, int] = {}
     for i in range(1, n + 1):
         base = (i - 1) * 10

@@ -188,6 +188,13 @@ class TestReduce:
         cnf.write_text(f"p cnf 3 5\n{clauses}\n", encoding="utf-8")
         assert run_cli("reduce", str(cnf), "--check")[0] == 1
 
+    def test_oversized_gadget_refused(self, tmp_path, capsys):
+        # 10n + 3m vertices: refused before any label or edge is built
+        cnf = tmp_path / "huge.cnf"
+        cnf.write_text("p cnf 1000000000 1\n1 0\n", encoding="utf-8")
+        assert run_cli("reduce", str(cnf))[0] == 1
+        assert "vertex count 10000000003 exceeds the limit" in capsys.readouterr().err
+
     def test_parse_error_exit(self, tmp_path):
         cnf = tmp_path / "bad.cnf"
         cnf.write_text("p cnf 4 1\n1 2 3 4 0\n", encoding="utf-8")

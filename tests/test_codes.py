@@ -20,6 +20,7 @@ from sepcodes import (
     disjoint_union,
     format_edge_list,
     forced_vertices,
+    formula_x_number,
     ftd_code_path_cycle,
     generate,
     induced_subgraph,
@@ -379,6 +380,33 @@ class TestXNumber:
         src = str(Path(codes.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-O", "-c", script], env=env).returncode == 0
+
+    @pytest.mark.parametrize("spec, kind", [
+        ("path:96", CodeKind.FTD),
+        ("cycle:48", CodeKind.FD),
+        ("thick:20", CodeKind.LD),
+    ])
+    def test_closed_forms_proven_on_banded_graphs(self, spec, kind):
+        g, family_spec = graph_from_spec_string(spec)
+        res = x_number(g, kind, budget=100_000)
+        assert res.optimal and res.size == formula_x_number(family_spec, kind)
+        assert verify_code(g, kind, res.witness)
+
+    def test_same_answer_under_any_hash_seed(self):
+        # the table is a dict keyed by ints; neither its order nor string
+        # hashing may reach the witness or the node count
+        script = (
+            "from sepcodes import CodeKind, x_number\n"
+            "from sepcodes.families import graph_from_spec_string\n"
+            "r = x_number(graph_from_spec_string('cycle:36')[0], CodeKind.OD)\n"
+            "print(r.size, r.witness.mask, r.nodes_explored)\n"
+        )
+        src = str(Path(codes.__file__).parents[1])
+        outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                               check=True).stdout
+                for seed in ("1", "2")]
+        assert outs[0] == outs[1] and outs[0].startswith("24 ")
 
 
 class TestKnownInequalities:

@@ -21,6 +21,7 @@ from sepcodes import (
     x_number,
 )
 
+from sepcodes import hypergraphs
 from sepcodes.families import graph_from_spec_string
 from sepcodes.hypergraphs import _greedy_mask, _incidence, _minimal_masks
 
@@ -283,16 +284,65 @@ def cover_outcome(solve, h, budget):
     return res.size, res.witness.mask, res.optimal, res.nodes_explored
 
 
+def check_against_reference(h, budget) -> bool:
+    """The table only cuts subtrees without a strictly better cover, so the
+    engine meets the reference's incumbents in the same order: the same
+    answer wherever the reference proves, never a larger size and never
+    more nodes.  Returns whether the table saved nodes."""
+    got = cover_outcome(min_cover, h, budget)
+    want = cover_outcome(reference_min_cover, h, budget)
+    if want == "empty":
+        assert got == "empty"
+        return False
+    if want[2]:
+        assert got[:3] == want[:3], (h.n, h.edges, budget)
+    assert got[0] <= want[0] and got[3] <= want[3], (h.n, h.edges, budget)
+    return got[3] < want[3]
+
+
+FAMILY_SPECS = ("path:18", "path:24", "path:36", "cycle:18", "cycle:24", "cycle:36",
+                "thick:9", "thick:12", "thick:18")
+
+
+def family_hypergraphs():
+    for spec in FAMILY_SPECS:
+        g, _ = graph_from_spec_string(spec)
+        for kind in CodeKind:
+            yield build_hypergraph(g, kind)
+
+
 class TestKernelMatchesReference:
     """The incidence-bitset kernel against the list-based reference engine."""
 
-    def test_min_cover_node_for_node(self):
+    def test_min_cover_same_incumbents_fewer_nodes(self):
         rng = random.Random(61)
+        saved = 0
         for _ in range(1000):
             h = awkward_hypergraph(rng)
             for budget in (1, 2, 3, 10, 50, None):
-                assert cover_outcome(min_cover, h, budget) == \
-                    cover_outcome(reference_min_cover, h, budget), (h.n, h.edges, budget)
+                saved += check_against_reference(h, budget)
+        assert saved > 0
+
+    def test_family_hypergraphs_where_the_table_cuts(self):
+        saved = sum(check_against_reference(h, budget)
+                    for h in family_hypergraphs() for budget in (10, 50, 2000))
+        assert saved >= 50
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_tiny_table_limit_same_answer(self, monkeypatch, limit):
+        rng = random.Random(63)
+        cases = [awkward_hypergraph(rng) for _ in range(200)]
+        for spec, kind in (("cycle:24", CodeKind.FD), ("cycle:24", CodeKind.OD),
+                           ("thick:12", CodeKind.LD), ("path:24", CodeKind.OTD)):
+            cases.append(build_hypergraph(graph_from_spec_string(spec)[0], kind))
+        want = [cover_outcome(min_cover, h, None) for h in cases]
+        monkeypatch.setattr(hypergraphs, "TABLE_LIMIT", limit)
+        got = [cover_outcome(min_cover, h, None) for h in cases]
+        for h, g, w in zip(cases, got, want):
+            assert g[:3] == w[:3], (h.n, h.edges)
+        # the limit binds: a table of at most two entries cuts nothing on
+        # these four (599, 2371, 1588 and 85 nodes at the default limit)
+        assert [g[3] for g in got[-4:]] == [1093, 4027, 6766, 271]
 
     def test_greedy_filter_and_packing(self):
         rng = random.Random(62)
@@ -316,13 +366,14 @@ class TestKernelMatchesReference:
         assert _minimal_masks(()) == []
 
     @pytest.mark.parametrize("spec, kind, nodes", [
-        ("cycle:24", CodeKind.FD, 1093),
-        ("cycle:24", CodeKind.OD, 4027),
-        ("thick:12", CodeKind.LD, 6766),
-        ("path:36", CodeKind.ID, 1415),
+        ("cycle:24", CodeKind.FD, 599),
+        ("cycle:24", CodeKind.OD, 2371),
+        ("thick:12", CodeKind.LD, 1588),
+        ("path:36", CodeKind.ID, 383),
     ])
     def test_x_number_node_counts_pinned(self, spec, kind, nodes):
-        # node counts of the list-based engine; the branching order is fixed
+        # the branching order and the table's cuts are fixed (the list-based
+        # engine needs 1093, 4027, 6766 and 1415 nodes here)
         g, _ = graph_from_spec_string(spec)
         res = x_number(g, kind)
         assert res.optimal and res.nodes_explored == nodes
