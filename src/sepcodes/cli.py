@@ -10,7 +10,8 @@ Subcommands
 * ``family``      print a generated family graph and its known X-numbers
 
 Exit codes: 0 success/optimal, 1 usage or parse error, 2 node budget
-exhausted, 3 graph not admissible for the requested kind.
+exhausted, 3 graph not admissible for the requested kind.  Oversized
+inputs exit 1 too; any other exception is a defect and propagates.
 
 Reports are human-readable by default; ``--json`` switches to a canonical
 JSON rendering (sorted keys, fixed layout) that is byte-stable across
@@ -119,12 +120,20 @@ def _load_graph(args) -> tuple[Graph, str]:
     if args.family and args.graph:
         raise _UsageError("give either a graph file or --family, not both")
     if args.family:
-        g, _spec = families.graph_from_spec_string(args.family)
+        g, _spec = _parsed(families.graph_from_spec_string, args.family)
         return g, f"family:{args.family}"
     if args.graph:
         text = Path(args.graph).read_text(encoding="utf-8")
         return parse_edge_list(text), f"file:{args.graph}"
     raise _UsageError("no graph given: pass an edge-list file or --family SPEC")
+
+
+def _parsed(parse, *args):
+    """parse(*args) on user input, its ValueError reported as a usage error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _command_echo(args) -> str:
@@ -200,7 +209,7 @@ def _solve_entry(g: Graph, kind: codes.CodeKind, budget: int, args) -> dict:
 
 def _cmd_solve(args, out) -> int:
     g, source = _load_graph(args)
-    kind = codes.CodeKind.parse(args.kind)
+    kind = _parsed(codes.CodeKind.parse, args.kind)
     budget = _resolve_budget(args)
     try:
         entry = _solve_entry(g, kind, budget, args)
@@ -232,11 +241,8 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     g, source = _load_graph(args)
-    kind = codes.CodeKind.parse(args.kind)
-    try:
-        code = VertexSet.of(g.n, args.code)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    kind = _parsed(codes.CodeKind.parse, args.kind)
+    code = _parsed(VertexSet.of, g.n, args.code)
     accepted = codes.verify_code(g, kind, code)
     entry = {"kind": kind.value, "code": code.sorted_ids(), "accepted": accepted}
     report = _report(args,
@@ -418,7 +424,7 @@ def _cmd_reduce(args, out) -> int:
 
 def _cmd_hypergraph(args, out) -> int:
     g, source = _load_graph(args)
-    kind = codes.CodeKind.parse(args.kind)
+    kind = _parsed(codes.CodeKind.parse, args.kind)
     h = codes.build_hypergraph(g, kind)
     reduced = remove_redundant(h)
     empty = h.has_empty_edge()
@@ -441,7 +447,7 @@ def _cmd_hypergraph(args, out) -> int:
 
 
 def _cmd_family(args, out) -> int:
-    g, spec = families.graph_from_spec_string(args.spec)
+    g, spec = _parsed(families.graph_from_spec_string, args.spec)
     formulas: dict[str, int | None] = {}
     if spec is not None:
         for kind in codes.CodeKind:
@@ -483,7 +489,8 @@ def main(argv: list[str] | None = None) -> int:
     except codes.NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
-    except (_UsageError, GraphFormatError, sat_reduction.DimacsError, ValueError, OSError) as exc:
+    except (_UsageError, GraphFormatError, sat_reduction.DimacsError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

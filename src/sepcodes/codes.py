@@ -12,22 +12,28 @@ The hyperedge recipe per type is a triple of families:
 * adjacent pairs: symmetric differences of closed or open neighborhoods;
 * non-adjacent pairs: symmetric differences of closed or open neighborhoods.
 
-This module also provides the admissibility test, one definitional
-verifier per separation flavor (independent of the hypergraph route; full
-separation is closed plus open separation), full-separation forced
-vertices, and the end-to-end exact X-number computation.  Admissibility,
-the verifiers and forced vertices work on neighborhood rows (one pass
-over the vertices, plus one row lookup per edge end for forced
-vertices); only the hypergraph build visits vertex pairs, since its
-output holds one edge per pair.
+This module also provides the admissibility test, the definitional
+verifier (independent of the hypergraph route; full separation is closed
+plus open separation), full-separation forced vertices, and the
+end-to-end exact X-number computation.
+
+Everything here reads the graph's stored rows, ``g.rows`` (open
+neighborhoods N(v)) and ``g.closed_rows`` (closed neighborhoods N[v]):
+a domination row is a stored row, a trace N[v] & C or N(v) & C is a row
+masked by the code, and a pair hyperedge is the xor of two rows.
+Admissibility, the verifiers and forced vertices make one pass over the
+rows (plus one row lookup per edge end for forced vertices); only the
+hypergraph build visits vertex pairs, since its output holds one edge per
+pair.  That build refuses graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graphs import Graph, VertexSet, bit_ids
+from .graphs import Graph, GraphFormatError, VertexSet, bit_ids
 from .hypergraphs import CoverResult, Hypergraph, min_cover
 
 
@@ -109,6 +115,14 @@ class NotAdmissibleError(ValueError):
         self.reason = reason
 
 
+# Largest vertex count build_hypergraph accepts.  The definitional
+# hypergraph holds one n-bit edge per vertex pair, so its memory grows as
+# n^3: building it for path:1000 (FTD) peaks near 85 MB, and n = 2,000
+# costs about eight times that.  Larger graphs are refused before the
+# pair loop, with a GraphFormatError.
+MAX_HYPERGRAPH_VERTICES = 2_000
+
+
 class CoverCodeMismatchError(RuntimeError):
     """A minimum cover of the X-hypergraph failed the definitional check.
 
@@ -123,23 +137,29 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     symmetric differences of all adjacent pairs in lexicographic order,
     then of all non-adjacent pairs in lexicographic order.  Non-admissible
     graphs simply yield a hypergraph containing an empty hyperedge.
+    Raises GraphFormatError when g has more than MAX_HYPERGRAPH_VERTICES
+    vertices.
     """
-    fam = FAMILIES[kind]
     n = g.n
-    open_rows = [g.neighbor_mask(v) for v in range(n)]
-    rows = {Nbhd.OPEN: open_rows, Nbhd.CLOSED: [row | 1 << v for v, row in enumerate(open_rows)]}
+    if n > MAX_HYPERGRAPH_VERTICES:
+        raise GraphFormatError(
+            f"{n} vertices exceed the hypergraph limit of {MAX_HYPERGRAPH_VERTICES}"
+            " (one hyperedge per vertex pair)"
+        )
+    fam = FAMILIES[kind]
+    rows = {Nbhd.OPEN: g.rows, Nbhd.CLOSED: g.closed_rows}
     adj_rows, non_rows = rows[fam.adjacent_pairs], rows[fam.nonadjacent_pairs]
     adjacent: list[int] = []
     nonadjacent: list[int] = []
     # The one pass over vertex pairs: every pair contributes one edge.
-    for u, row in enumerate(open_rows):
+    for u, row in enumerate(g.rows):
         au, nu = adj_rows[u], non_rows[u]
         for v in range(u + 1, n):
             if row >> v & 1:
                 adjacent.append(au ^ adj_rows[v])
             else:
                 nonadjacent.append(nu ^ non_rows[v])
-    return Hypergraph(n, rows[fam.domination] + adjacent + nonadjacent)
+    return Hypergraph(n, [*rows[fam.domination], *adjacent, *nonadjacent])
 
 
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
@@ -174,48 +194,26 @@ def is_admissible(g: Graph, kind: CodeKind) -> bool:
 # --- definitional verifiers (no hypergraph involved) ----------------------
 
 
-def _check_universe(g: Graph, c: VertexSet) -> None:
+def _code_mask(g: Graph, c: VertexSet) -> int:
+    """The mask of c, which must live on the vertices of g."""
     if c.n != g.n:
         raise ValueError(f"code universe {c.n} != graph order {g.n}")
+    return c.mask
 
 
-def is_dominating(g: Graph, c: VertexSet) -> bool:
-    """Every vertex has a code vertex in its closed neighborhood."""
-    _check_universe(g, c)
-    cm = c.mask
-    return all((g.neighbor_mask(v) | 1 << v) & cm for v in range(g.n))
-
-
-def is_total_dominating(g: Graph, c: VertexSet) -> bool:
-    """Every vertex has a code vertex among its neighbors."""
-    _check_universe(g, c)
-    cm = c.mask
-    return all(g.neighbor_mask(v) & cm for v in range(g.n))
+def _separates(rows: Sequence[int], cm: int) -> bool:
+    """The traces row & cm are pairwise distinct."""
+    return len({row & cm for row in rows}) == len(rows)
 
 
 def is_closed_separating(g: Graph, c: VertexSet) -> bool:
     """The traces N[v] & C are pairwise distinct."""
-    _check_universe(g, c)
-    cm = c.mask
-    traces = {(g.neighbor_mask(v) | 1 << v) & cm for v in range(g.n)}
-    return len(traces) == g.n
+    return _separates(g.closed_rows, _code_mask(g, c))
 
 
 def is_open_separating(g: Graph, c: VertexSet) -> bool:
     """The traces N(v) & C are pairwise distinct."""
-    _check_universe(g, c)
-    cm = c.mask
-    traces = {g.neighbor_mask(v) & cm for v in range(g.n)}
-    return len(traces) == g.n
-
-
-def is_locating(g: Graph, c: VertexSet) -> bool:
-    """The traces N(v) & C are pairwise distinct over vertices outside C."""
-    _check_universe(g, c)
-    cm = c.mask
-    outside = [v for v in range(g.n) if not cm >> v & 1]
-    traces = {g.neighbor_mask(v) & cm for v in outside}
-    return len(traces) == len(outside)
+    return _separates(g.rows, _code_mask(g, c))
 
 
 def is_full_separating(g: Graph, c: VertexSet) -> bool:
@@ -232,22 +230,22 @@ def is_full_separating(g: Graph, c: VertexSet) -> bool:
 def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """Check c against the definition of a kind-code, trace by trace.
 
-    This path never touches the hypergraph encoding, so it serves as an
-    independent oracle for the cover route.
+    Domination asks every closed row (total domination: every open row)
+    to meet c.  Locating asks the open traces of the vertices outside c to
+    be pairwise distinct.  This path never touches the hypergraph
+    encoding, so it serves as an independent oracle for the cover route.
     """
-    fam = FAMILIES[kind]
-    if fam.domination is Nbhd.CLOSED:
-        if not is_dominating(g, c):
-            return False
-    elif not is_total_dominating(g, c):
+    cm = _code_mask(g, c)
+    closed = FAMILIES[kind].domination is Nbhd.CLOSED
+    if not all(row & cm for row in (g.closed_rows if closed else g.rows)):
         return False
     if kind in (CodeKind.ID, CodeKind.ITD):
-        return is_closed_separating(g, c)
+        return _separates(g.closed_rows, cm)
     if kind in (CodeKind.OD, CodeKind.OTD):
-        return is_open_separating(g, c)
+        return _separates(g.rows, cm)
     if kind in (CodeKind.LD, CodeKind.LTD):
-        return is_locating(g, c)
-    return is_full_separating(g, c)
+        return _separates([row for v, row in enumerate(g.rows) if not cm >> v & 1], cm)
+    return _separates(g.closed_rows, cm) and _separates(g.rows, cm)
 
 
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
@@ -272,21 +270,17 @@ def forced_vertices(g: Graph) -> VertexSet:
     case.  So each w in N(u) is one row lookup, and u is skipped unless
     some vertex has degree deg(u)-1, which both cases need.
     """
-    n = g.n
-    rows = [g.neighbor_mask(v) for v in range(n)]
-    open_rows = set(rows)
-    closed_rows = {row | 1 << v for v, row in enumerate(rows)}
-    degrees = {row.bit_count() for row in rows}
+    open_rows, closed_rows = set(g.rows), set(g.closed_rows)
+    degrees = {row.bit_count() for row in g.rows}
     forced = 0
-    for u, row in enumerate(rows):
+    for row, closed in zip(g.rows, g.closed_rows):
         if row.bit_count() - 1 not in degrees:
             continue
-        closed = row | 1 << u
         for w in bit_ids(row & ~forced):
             bit = 1 << w
             if row ^ bit in open_rows or closed ^ bit in closed_rows:
                 forced |= bit
-    return VertexSet(n, forced)
+    return VertexSet(g.n, forced)
 
 
 def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult:

@@ -1,17 +1,22 @@
 """Finite simple undirected graphs over dense integer vertex ids.
 
-Vertices are always the ids 0..n-1.  Neighborhoods and all other vertex
-subsets are handled as fixed-universe bitsets (:class:`VertexSet`), which
-keeps the symmetric-difference-heavy workload of the rest of the package
-cheap: every set operation is a couple of machine-word ops on a Python int.
+Vertices are always the ids 0..n-1.  A graph is stored as its rows: the
+open neighborhood N(v) of every vertex as an int bitmask (``Graph.rows``),
+plus the closed neighborhoods N[v] derived once at construction
+(``Graph.closed_rows``).  Every structural question in the package (twins,
+isolated vertices, edges, and in :mod:`sepcodes.codes` domination, traces
+and hyperedges) is answered by iterating these rows.  Other vertex
+subsets are fixed-universe bitsets (:class:`VertexSet`), so every set
+operation is a couple of machine-word ops on a Python int.
 
-Graphs and vertex sets are immutable after construction and safe to share
-across threads.
+Graphs and vertex sets are frozen dataclasses, immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 # Largest vertex count a graph may have.  Graph.from_edges and FamilySpec
@@ -45,6 +50,7 @@ def bit_ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """Immutable subset of {0..n-1}, backed by an int bitmask.
 
@@ -52,18 +58,14 @@ class VertexSet:
     size ``n`` and raise :class:`UniverseMismatchError` otherwise.
     """
 
-    __slots__ = ("n", "mask")
+    n: int
+    mask: int = 0
 
-    def __init__(self, n: int, mask: int = 0):
-        if n < 0:
+    def __post_init__(self):
+        if self.n < 0:
             raise ValueError("universe size must be non-negative")
-        if mask < 0 or mask >> n:
+        if self.mask < 0 or self.mask >> self.n:
             raise ValueError("mask has bits outside the universe")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("VertexSet is immutable")
 
     @classmethod
     def of(cls, n: int, ids: Iterable[int]) -> "VertexSet":
@@ -117,59 +119,46 @@ class VertexSet:
     def sorted_ids(self) -> list[int]:
         return list(self)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
     def __repr__(self) -> str:
         return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Finite simple undirected graph with adjacency stored as bitmasks.
+    """Finite simple undirected graph stored as neighborhood rows.
+
+    ``rows[v]`` is the bitmask of the open neighborhood N(v) and
+    ``closed_rows[v]`` that of the closed neighborhood N[v]; the closed
+    rows are derived once, at construction.  Equality and hashing use
+    ``(n, rows)``.
 
     Duplicate edges in the input are silently deduplicated; self-loops and
     more than :data:`MAX_VERTICES` vertices are rejected.  Disconnected
     graphs (including isolated vertices) are legal.
     """
 
-    __slots__ = ("n", "_adj")
+    n: int
+    rows: tuple[int, ...]
+    closed_rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    def __init__(self, n: int, adj_masks: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", adj_masks)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Graph is immutable")
+    def __post_init__(self):
+        closed = tuple(row | 1 << v for v, row in enumerate(self.rows))
+        object.__setattr__(self, "closed_rows", closed)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         check_vertex_count(n)
-        adj = [0] * n
+        rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return cls(n, tuple(rows))
 
     # --- neighborhoods -------------------------------------------------
-
-    def neighbor_mask(self, v: int) -> int:
-        """Bitmask of N(v)."""
-        return self._adj[v]
-
-    def closed_neighbor_mask(self, v: int) -> int:
-        """Bitmask of N[v] = N(v) plus v itself."""
-        return self._adj[v] | 1 << v
 
     def _require_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -178,53 +167,44 @@ class Graph:
     def open_neighborhood(self, v: int) -> VertexSet:
         """All vertices adjacent to v (never contains v)."""
         self._require_vertex(v)
-        return VertexSet(self.n, self._adj[v])
+        return VertexSet(self.n, self.rows[v])
 
     def closed_neighborhood(self, v: int) -> VertexSet:
         """Open neighborhood of v together with v itself."""
         self._require_vertex(v)
-        return VertexSet(self.n, self._adj[v] | 1 << v)
+        return VertexSet(self.n, self.closed_rows[v])
 
     def degree(self, v: int) -> int:
         self._require_vertex(v)
-        return self._adj[v].bit_count()
+        return self.rows[v].bit_count()
 
     def adjacent(self, u: int, v: int) -> bool:
         self._require_vertex(u)
         self._require_vertex(v)
-        return self._adj[u] >> v & 1 == 1
+        return self.rows[u] >> v & 1 == 1
 
     # --- global structure ----------------------------------------------
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, in lexicographic order."""
-        for u in range(self.n):
-            rest = self._adj[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    yield (u, v)
-                rest >>= 1
-                v += 1
+        for u, row in enumerate(self.rows):
+            for v in bit_ids(row >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     @property
     def num_edges(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def isolated_vertices(self) -> VertexSet:
         """All vertices with empty open neighborhood."""
-        mask = 0
-        for v in range(self.n):
-            if self._adj[v] == 0:
-                mask |= 1 << v
-        return VertexSet(self.n, mask)
+        return VertexSet(self.n, sum(1 << v for v, row in enumerate(self.rows) if not row))
 
     def closed_twins(self) -> list[tuple[int, int]]:
         """Adjacent pairs u < v with N[u] = N[v], lexicographically sorted.
 
         Equal closed rows force adjacency: u is in N[u] = N[v].
         """
-        return _equal_row_pairs(m | 1 << v for v, m in enumerate(self._adj))
+        return _equal_row_pairs(self.closed_rows)
 
     def open_twins(self) -> list[tuple[int, int]]:
         """Non-adjacent pairs u < v with N(u) = N(v), lexicographically sorted.
@@ -232,17 +212,11 @@ class Graph:
         Equal open rows force non-adjacency: u is not in N(u) = N(v).  Two
         isolated vertices qualify: both open neighborhoods are empty.
         """
-        return _equal_row_pairs(self._adj)
+        return _equal_row_pairs(self.rows)
 
     def is_twin_free(self) -> bool:
         """True iff the graph has neither closed nor open twins."""
         return not self.closed_twins() and not self.open_twins()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"

@@ -208,7 +208,7 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
 
 
 def _open_nbhds(g: Graph) -> list[set[int]]:
-    return [ids(g.neighbor_mask(v), g.n) for v in range(g.n)]
+    return [ids(g.rows[v], g.n) for v in range(g.n)]
 
 
 def full_separating_a(g: Graph, c: VertexSet) -> bool:
@@ -268,9 +268,9 @@ def reference_closed_twins(g: Graph) -> list[tuple[int, int]]:
     """Adjacent pairs u < v with N[u] = N[v], by scanning every pair."""
     pairs = []
     for u in range(g.n):
-        cu = g.neighbor_mask(u) | 1 << u
+        cu = g.rows[u] | 1 << u
         for v in range(u + 1, g.n):
-            if g.neighbor_mask(u) >> v & 1 and cu == g.neighbor_mask(v) | 1 << v:
+            if g.rows[u] >> v & 1 and cu == g.rows[v] | 1 << v:
                 pairs.append((u, v))
     return pairs
 
@@ -280,7 +280,7 @@ def reference_open_twins(g: Graph) -> list[tuple[int, int]]:
     pairs = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.neighbor_mask(u) >> v & 1 and g.neighbor_mask(u) == g.neighbor_mask(v):
+            if not g.rows[u] >> v & 1 and g.rows[u] == g.rows[v]:
                 pairs.append((u, v))
     return pairs
 
@@ -295,9 +295,9 @@ def reference_forced_vertices(g: Graph) -> VertexSet:
     forced = 0
     n = g.n
     for u in range(n):
-        nu = g.neighbor_mask(u)
+        nu = g.rows[u]
         for v in range(u + 1, n):
-            punctured = (nu ^ g.neighbor_mask(v)) & ~(1 << u | 1 << v)
+            punctured = (nu ^ g.rows[v]) & ~(1 << u | 1 << v)
             if punctured and punctured & (punctured - 1) == 0:
                 forced |= punctured
     return VertexSet(n, forced)
@@ -315,22 +315,104 @@ def reference_build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     n = g.n
     masks: list[int] = []
     if fam.domination is Nbhd.CLOSED:
-        masks.extend(g.closed_neighbor_mask(v) for v in range(n))
+        masks.extend(g.rows[v] | 1 << v for v in range(n))
     else:
-        masks.extend(g.neighbor_mask(v) for v in range(n))
+        masks.extend(g.rows[v] for v in range(n))
     for want_adjacent, flavor in ((True, fam.adjacent_pairs), (False, fam.nonadjacent_pairs)):
         closed = flavor is Nbhd.CLOSED
         for u in range(n):
-            row = g.neighbor_mask(u)
+            row = g.rows[u]
             cu = row | 1 << u
             for v in range(u + 1, n):
                 if (row >> v & 1 == 1) != want_adjacent:
                     continue
                 if closed:
-                    masks.append(cu ^ (g.neighbor_mask(v) | 1 << v))
+                    masks.append(cu ^ (g.rows[v] | 1 << v))
                 else:
-                    masks.append(row ^ g.neighbor_mask(v))
+                    masks.append(row ^ g.rows[v])
     return Hypergraph(n, masks)
+
+
+def reference_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges u < v in lexicographic order, shifting each row bit by bit."""
+    out = []
+    for u in range(g.n):
+        rest = g.rows[u] >> (u + 1)
+        v = u + 1
+        while rest:
+            if rest & 1:
+                out.append((u, v))
+            rest >>= 1
+            v += 1
+    return out
+
+
+# --- per-flavor verifiers -------------------------------------------------
+#
+# The library verifies a code in one function over the stored open and
+# closed rows.  These are the per-flavor predicates it replaced, each
+# deriving its rows vertex by vertex, kept as a reference.
+
+
+def _check_universe(g: Graph, c: VertexSet) -> None:
+    if c.n != g.n:
+        raise ValueError(f"code universe {c.n} != graph order {g.n}")
+
+
+def is_dominating(g: Graph, c: VertexSet) -> bool:
+    """Every vertex has a code vertex in its closed neighborhood."""
+    _check_universe(g, c)
+    cm = c.mask
+    return all((g.rows[v] | 1 << v) & cm for v in range(g.n))
+
+
+def is_total_dominating(g: Graph, c: VertexSet) -> bool:
+    """Every vertex has a code vertex among its neighbors."""
+    _check_universe(g, c)
+    cm = c.mask
+    return all(g.rows[v] & cm for v in range(g.n))
+
+
+def is_closed_separating(g: Graph, c: VertexSet) -> bool:
+    """The traces N[v] & C are pairwise distinct."""
+    _check_universe(g, c)
+    cm = c.mask
+    traces = {(g.rows[v] | 1 << v) & cm for v in range(g.n)}
+    return len(traces) == g.n
+
+
+def is_open_separating(g: Graph, c: VertexSet) -> bool:
+    """The traces N(v) & C are pairwise distinct."""
+    _check_universe(g, c)
+    cm = c.mask
+    traces = {g.rows[v] & cm for v in range(g.n)}
+    return len(traces) == g.n
+
+
+def is_locating(g: Graph, c: VertexSet) -> bool:
+    """The traces N(v) & C are pairwise distinct over vertices outside C."""
+    _check_universe(g, c)
+    cm = c.mask
+    outside = [v for v in range(g.n) if not cm >> v & 1]
+    traces = {g.rows[v] & cm for v in outside}
+    return len(traces) == len(outside)
+
+
+def reference_verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
+    """Check c against the definition of a kind-code, one predicate per flavor."""
+    fam = FAMILIES[kind]
+    if fam.domination is Nbhd.CLOSED:
+        if not is_dominating(g, c):
+            return False
+    elif not is_total_dominating(g, c):
+        return False
+    if kind in (CodeKind.ID, CodeKind.ITD):
+        return is_closed_separating(g, c)
+    if kind in (CodeKind.OD, CodeKind.OTD):
+        return is_open_separating(g, c)
+    if kind in (CodeKind.LD, CodeKind.LTD):
+        return is_locating(g, c)
+    return is_closed_separating(g, c) and is_open_separating(g, c)
 
 
 def _separates_near_pairs(g: Graph, cm: int) -> bool:
@@ -338,9 +420,9 @@ def _separates_near_pairs(g: Graph, cm: int) -> bool:
     # sharing a neighbor), via the punctured symmetric difference.
     n = g.n
     for u in range(n):
-        nu = g.neighbor_mask(u)
+        nu = g.rows[u]
         for v in range(u + 1, n):
-            nv = g.neighbor_mask(v)
+            nv = g.rows[v]
             if not (nu >> v & 1 or nu & nv):
                 continue
             if not (nu ^ nv) & ~(1 << u | 1 << v) & cm:
@@ -360,12 +442,12 @@ def distance2_full_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
         raise ValueError("the distance-2 verifier applies to FD and FTD only")
     cm = c.mask
     if kind is CodeKind.FTD:
-        if not all(g.neighbor_mask(v) & cm for v in range(g.n)):
+        if not all(g.rows[v] & cm for v in range(g.n)):
             return False
     else:
-        if not all(g.closed_neighbor_mask(v) & cm for v in range(g.n)):
+        if not all((g.rows[v] | 1 << v) & cm for v in range(g.n)):
             return False
-        unreached = sum(1 for v in range(g.n) if not g.neighbor_mask(v) & cm)
+        unreached = sum(1 for v in range(g.n) if not g.rows[v] & cm)
         if unreached > 1:
             return False
     return _separates_near_pairs(g, cm)

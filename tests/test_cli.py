@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from sepcodes import codes
 from sepcodes.cli import main, render_json
 
 
@@ -75,6 +76,34 @@ class TestSolve:
                            "--budget", budget)[0] == 1
             monkeypatch.setenv("SEPCODES_BUDGET", budget)
             assert run_cli("solve", "--family", "path:12", "--kind", "ftd")[0] == 1
+
+    def test_more_usage_errors(self, tmp_path):
+        binary = tmp_path / "binary.edges"
+        binary.write_bytes(b"\xff\xfe\x00\x81 2\n")
+        for argv in (("solve", str(binary), "--kind", "fd"),
+                     ("solve", str(tmp_path / "missing.edges"), "--kind", "fd"),
+                     ("verify", "--family", "path:4", "--kind", "nope", "--code", "0"),
+                     ("verify", "--family", "path:4", "--kind", "fd", "--code", "9"),
+                     ("hypergraph", "--family", "path:4", "--kind", "nope"),
+                     ("relations", "--family", "path"),
+                     ("family", "path:12+k2"),
+                     ("family", "path:x"),
+                     ("family", "half:0")):
+            assert run_cli(*argv)[0] == 1, argv
+
+    def test_hypergraph_vertex_limit(self, capsys):
+        for argv in (("solve", "--family", "path:2001", "--kind", "ftd"),
+                     ("hypergraph", "--family", "path:2001", "--kind", "fd")):
+            assert run_cli(*argv)[0] == 1
+            assert "2001 vertices exceed the hypergraph limit of 2000" in capsys.readouterr().err
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal defect")
+
+        monkeypatch.setattr(codes, "x_number", broken)
+        with pytest.raises(ValueError, match="internal defect"):
+            run_cli("solve", "--family", "path:4", "--kind", "fd")
 
     def test_oversized_vertex_count_refused(self, tmp_path, capsys):
         huge = tmp_path / "huge.edges"

@@ -13,6 +13,7 @@ from sepcodes import (
     Family,
     FamilySpec,
     Graph,
+    GraphFormatError,
     KIND_INEQUALITIES,
     NotAdmissibleError,
     VertexSet,
@@ -34,7 +35,12 @@ from sepcodes import (
     x_number,
 )
 from sepcodes import codes
-from sepcodes.codes import admissibility_failure, is_closed_separating, is_open_separating
+from sepcodes.codes import (
+    MAX_HYPERGRAPH_VERTICES,
+    admissibility_failure,
+    is_closed_separating,
+    is_open_separating,
+)
 from sepcodes.families import graph_from_spec_string
 from sepcodes.sat_reduction import CnfFormula, build_gadget
 
@@ -48,6 +54,7 @@ from conftest import (
     random_twin_free_graph,
     reference_build_hypergraph,
     reference_forced_vertices,
+    reference_verify_code,
 )
 
 ALL_KINDS = list(CodeKind)
@@ -146,6 +153,21 @@ class TestBuildHypergraph:
                     kind, format_edge_list(g))
 
 
+    def test_vertex_limit(self, monkeypatch):
+        # refused before the pair loop, so this is instant
+        g = path(MAX_HYPERGRAPH_VERTICES + 1)
+        for kind in (CodeKind.FTD, CodeKind.ID):
+            with pytest.raises(GraphFormatError, match=f"limit of {MAX_HYPERGRAPH_VERTICES}"):
+                build_hypergraph(g, kind)
+        with pytest.raises(GraphFormatError, match="hypergraph limit"):
+            x_number(g, CodeKind.FTD)
+        monkeypatch.setattr(codes, "MAX_HYPERGRAPH_VERTICES", 5)
+        assert build_hypergraph(path(5), CodeKind.FTD) == reference_build_hypergraph(
+            path(5), CodeKind.FTD)
+        with pytest.raises(GraphFormatError, match="6 vertices exceed the hypergraph limit of 5"):
+            build_hypergraph(path(6), CodeKind.FTD)
+
+
 class TestAdmissibility:
     def test_examples(self):
         assert not is_admissible(path(3), CodeKind.FD)
@@ -206,6 +228,33 @@ class TestVerifyCode:
             h = build_hypergraph(g, kind)
             c = random_subset(n, rng)
             assert is_cover(h, c) == verify_code(g, kind, c)
+
+
+    def test_matches_reference_verifiers(self):
+        # one verifier over the stored rows against the per-flavor
+        # predicates, on V, every V - v, random subsets and the empty set
+        rng = random.Random(15)
+        verdicts = {True: 0, False: 0}
+        for g in seeded_graphs(16, 300):
+            full = (1 << g.n) - 1
+            cands = [VertexSet(g.n, full), VertexSet(g.n)]
+            cands += [VertexSet(g.n, full & ~(1 << v)) for v in range(g.n)]
+            cands += [random_subset(g.n, rng) for _ in range(4)]
+            for kind in ALL_KINDS:
+                for c in cands:
+                    want = reference_verify_code(g, kind, c)
+                    assert verify_code(g, kind, c) == want, (format_edge_list(g), kind, c)
+                    verdicts[want] += 1
+        assert min(verdicts.values()) > 1000, verdicts
+
+    def test_universe_mismatch_raises(self):
+        g, c = path(4), VertexSet.of(5, [0, 1, 2, 3])
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError, match="code universe"):
+                verify_code(g, kind, c)
+        for check in (is_closed_separating, is_open_separating, is_full_separating):
+            with pytest.raises(ValueError, match="code universe"):
+                check(g, c)
 
 
 class TestFullSeparatingVariants:

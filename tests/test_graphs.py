@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -18,7 +19,12 @@ from sepcodes import (
 )
 from sepcodes.graphs import MAX_VERTICES
 
-from conftest import complete_graph, reference_closed_twins, reference_open_twins
+from conftest import (
+    complete_graph,
+    reference_closed_twins,
+    reference_edges,
+    reference_open_twins,
+)
 
 
 def path(n):
@@ -52,6 +58,25 @@ class TestVertexSet:
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatchError):
             VertexSet.of(3, [0]) ^ VertexSet.of(4, [0])
+
+    def test_constructor_validates(self):
+        for n, mask in ((-1, 0), (3, 8), (3, -1)):
+            with pytest.raises(ValueError):
+                VertexSet(n, mask)
+        assert VertexSet(3) == VertexSet(3, 0)
+
+    def test_value_semantics_and_immutability(self):
+        a, b = VertexSet.of(5, [0, 3]), VertexSet(5, 0b1001)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != VertexSet(6, 0b1001) and a != VertexSet(5, 0b1000)
+        assert a != 0b1001
+        for name, value in (("mask", 0), ("n", 9)):
+            with pytest.raises(AttributeError):
+                setattr(a, name, value)
+        # slotted: no other attribute exists (CPython 3.11 raises TypeError)
+        with pytest.raises((AttributeError, TypeError)):
+            a.extra = 1
+        assert a == b
 
 
 class TestSymDiff:
@@ -97,8 +122,11 @@ class TestNeighborhoods:
         assert g.closed_neighborhood(4) == VertexSet.of(8, [0, 4])
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            path(3).open_neighborhood(3)
+        g = path(3)
+        for read in (g.open_neighborhood, g.closed_neighborhood, g.degree):
+            for v in (3, -1):
+                with pytest.raises(IndexError):
+                    read(v)
 
 
 class TestTwins:
@@ -177,6 +205,41 @@ class TestGraphConstruction:
     def test_out_of_range_edge(self):
         with pytest.raises(GraphFormatError):
             Graph.from_edges(3, [(0, 3)])
+
+    def test_rows(self):
+        g = path(4)
+        assert g.rows == (0b0010, 0b0101, 0b1010, 0b0100)
+        assert g.closed_rows == (0b0011, 0b0111, 0b1110, 0b1100)
+        assert Graph(4, g.rows) == g and Graph(4, g.rows).closed_rows == g.closed_rows
+
+    def test_value_semantics_and_immutability(self):
+        a = Graph.from_edges(4, [(0, 1), (2, 3)])
+        b = Graph.from_edges(4, [(3, 2), (1, 0)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Graph.from_edges(5, [(0, 1), (2, 3)])
+        assert a != Graph.from_edges(4, [(0, 1)])
+        assert repr(a) == "Graph(n=4, m=2)"
+        for name, value in (("n", 3), ("rows", ()), ("closed_rows", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, value)
+        with pytest.raises((AttributeError, TypeError)):
+            a.extra = 1
+        assert a == b
+
+    def test_edges_match_bitwise_reference(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            g = random_gnp(rng.randint(0, 40), rng.choice((0.05, 0.2, 0.5, 0.9)), rng)
+            assert list(g.edges()) == reference_edges(g)
+            assert len(list(g.edges())) == g.num_edges
+
+    def test_edges_long_range_matching(self):
+        # each row's one neighbor is 10,000 bits above it
+        n = 20_000
+        matching = [(u, u + n // 2) for u in range(n // 2)]
+        g = Graph.from_edges(n, reversed(matching))
+        assert list(g.edges()) == matching
+        assert format_edge_list(g).splitlines()[1:3] == ["0 10000", "1 10001"]
 
     def test_vertex_count_limit(self):
         assert Graph.from_edges(MAX_VERTICES, []).n == MAX_VERTICES
