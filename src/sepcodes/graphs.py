@@ -26,8 +26,8 @@ MAX_VERTICES = 100_000
 
 
 class GraphFormatError(ValueError):
-    """Bad graph input: self-loop, out-of-range id, too many vertices, or
-    malformed edge list."""
+    """Bad graph input: self-loop, out-of-range id, too many vertices,
+    malformed edge list, or rows that do not fit the vertex count."""
 
 
 class UniverseMismatchError(ValueError):
@@ -135,6 +135,12 @@ class Graph:
     Duplicate edges in the input are silently deduplicated; self-loops and
     more than :data:`MAX_VERTICES` vertices are rejected.  Disconnected
     graphs (including isolated vertices) are legal.
+
+    ``Graph(n, rows)`` stores the rows as a tuple and refuses a row count
+    other than n, a row with bits at or above n and a row holding its own
+    bit, but it does not check that the rows are symmetric (that costs as
+    much as building them).  Rows not known to be symmetric must come
+    through :meth:`from_edges`.
     """
 
     n: int
@@ -142,8 +148,20 @@ class Graph:
     closed_rows: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        closed = tuple(row | 1 << v for v, row in enumerate(self.rows))
-        object.__setattr__(self, "closed_rows", closed)
+        rows = tuple(self.rows)
+        n = self.n
+        if len(rows) != n:
+            raise GraphFormatError(f"{len(rows)} rows for {n} vertices")
+        closed = []
+        for v, row in enumerate(rows):
+            if row >> n:
+                raise GraphFormatError(f"row {v} has bits outside 0..{n - 1}")
+            closed_row = row | 1 << v
+            if closed_row == row:
+                raise GraphFormatError(f"self-loop at vertex {v}")
+            closed.append(closed_row)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "closed_rows", tuple(closed))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -156,7 +174,7 @@ class Graph:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls(n, rows)
 
     # --- neighborhoods -------------------------------------------------
 

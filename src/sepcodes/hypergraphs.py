@@ -23,6 +23,15 @@ unit edges and the branching edge each take a few whole-set operations,
 and banning v is one borrow-chain decrement on ``inc[v] & live``.  The
 search is an iterative depth-first loop over an explicit stack.
 
+Two shortcuts make a node cheaper without changing which nodes are
+visited.  A branching node at ``best - 2`` chosen vertices has only leaf
+children, each a cover (the first becomes the incumbent) or cut by the
+bound at once, none reading the planes, the bans or the table; the node
+visits them in place, in the order the stack would pop them and counted
+against the budget, instead of pushing each with a copy of the planes.
+The packing bound caches each edge's conflict set (the OR of ``inc[v]``
+over its members) and uses it while none of the edge's members is banned.
+
 A transposition table (branch-and-bound with caching, Kitching and
 Bacchus, CP 2008) maps the live edges of each finished branching node
 to ``best - count``, a lower bound on every cover R of them, banned
@@ -38,7 +47,8 @@ search, are those of the search without the table.  A full table
 The search is sequential and fully deterministic: the witness is the
 first optimum reached under this fixed order.  A node budget caps the
 search; exceeding it yields the best cover found so far, flagged
-non-optimal (never silently truncated).
+non-optimal (never silently truncated), with ``nodes_explored`` equal to
+``budget + 1``: the node that crossed the cap is counted.
 """
 
 from __future__ import annotations
@@ -98,6 +108,9 @@ class CoverResult:
 
     ``witness`` is always a valid cover of the input hypergraph; ``optimal``
     says whether ``size`` is proven equal to the covering number.
+    ``nodes_explored`` counts the search nodes visited; when the budget
+    ran out it is ``budget + 1``, the node that crossed the cap included
+    (so a 50,000-node budget reports 50001).
     """
 
     size: int
@@ -162,24 +175,38 @@ def _incidence(n: int, masks: Sequence[int]) -> list[int]:
     """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i]."""
     inc = [0] * n
     for i, m in enumerate(masks):
-        for v in bit_ids(m):
-            inc[v] |= 1 << i
+        bit = 1 << i
+        while m:
+            low = m & -m
+            inc[low.bit_length() - 1] |= bit
+            m ^= low
     return inc
 
 
-def _packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:
+def _packing(masks: Sequence[int], inc: list[int], conf: list[int], live: int, banned: int,
+             limit: int) -> int:
     """Greedy count of pairwise-disjoint live edges, restricted to the
     unbanned vertices and taken lowest index first; a lower bound on the
-    cover.  Counting stops once it reaches ``limit``."""
+    cover.  Counting stops once it reaches ``limit``.
+
+    ``conf[i]`` caches the edges sharing a vertex with masks[i] (0 until
+    first needed); it stands for the allowed members only while none of
+    them is banned, so an edge with a banned member is walked afresh."""
     packed = 0
     while live and packed < limit:
         packed += 1
-        m = masks[(live & -live).bit_length() - 1] & ~banned
-        hit = 0  # every edge sharing an allowed vertex with this one
-        while m:
-            low = m & -m
-            hit |= inc[low.bit_length() - 1]
-            m ^= low
+        i = (live & -live).bit_length() - 1
+        m = masks[i]
+        free = not m & banned
+        hit = conf[i] if free else 0  # every edge sharing an allowed vertex with this one
+        if not hit:
+            m &= ~banned
+            while m:
+                low = m & -m
+                hit |= inc[low.bit_length() - 1]
+                m ^= low
+            if free:
+                conf[i] = hit
         live &= ~hit
     return packed
 
@@ -216,7 +243,8 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     live = (1 << len(masks)) - 1
     chosen = _greedy_mask(inc, live)
     size = chosen.bit_count()
-    return CoverResult(size, VertexSet(h.n, chosen), size == _packing(masks, inc, live, 0, size), 0)
+    packed = _packing(masks, inc, [0] * len(masks), live, 0, size)
+    return CoverResult(size, VertexSet(h.n, chosen), size == packed, 0)
 
 
 def _bit_slices(counts: list[int]) -> list[int]:
@@ -232,7 +260,8 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     """Exact minimum cover by branch-and-bound (see module docstring).
 
     Raises EmptyHyperedgeError if no cover exists.  If the node budget is
-    exhausted, returns the best cover found with ``optimal=False``.
+    exhausted, returns the best cover found with ``optimal=False`` and
+    ``nodes_explored == budget + 1`` (the node that crossed the cap).
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
@@ -245,6 +274,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     nodes = 0
     exhausted = False
     table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
+    conf = [0] * len(masks)  # packing conflicts per edge, filled on first use
     # A node is (chosen, count, banned, live, planes): the chosen vertices
     # and their number, the vertices banned by earlier siblings, the edges
     # not yet hit by chosen, and the bit-sliced count of each live edge's
@@ -296,7 +326,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 continue
         if count + table.get(live, 0) >= best_size:
             continue
-        if count + _packing(masks, inc, live, banned, best_size - count) >= best_size:
+        if count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size:
             continue
         # Branch on the first live edge of minimum allowed count, members
         # ascending; each sibling bans the members already tried.
@@ -305,6 +335,27 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
             if least & ~p:
                 least &= ~p
         pick = masks[(least & -least).bit_length() - 1] & allowed
+        if count + 2 == best_size:
+            # Every child is a leaf at best_size - 1: the first child that
+            # covers becomes the incumbent, every other child is cut by the
+            # bound.  Visit them here, in the order the stack would pop
+            # them, then close this node as its marker would.
+            while pick:
+                low = pick & -pick
+                pick ^= low
+                nodes += 1
+                if nodes > budget:
+                    break
+                if not live & ~inc[low.bit_length() - 1] and count + 1 < best_size:
+                    best_size = count + 1
+                    best_mask = chosen | low
+            if nodes > budget:
+                exhausted = True
+                break
+            if len(table) >= TABLE_LIMIT:
+                table.clear()
+            table[live] = best_size - count
+            continue
         stack.append((0, count, 0, live, None))  # close marker, popped after the children
         children = []
         while True:

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the package's bitmask kernels: they
 work on plain Python sets and exhaustive enumeration, so agreement with
-the fast paths is a real check, not a tautology.
+the fast paths is a real check, not a tautology.  The one exception is
+``reference_table_min_cover``, a frozen copy of an earlier search loop
+that the engine must match node for node.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from sepcodes import (
     DEFAULT_NODE_BUDGET,
@@ -22,7 +24,9 @@ from sepcodes import (
     VertexSet,
     random_gnp,
 )
+from sepcodes import hypergraphs
 from sepcodes.codes import FAMILIES, Nbhd
+from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
 
 
 def ids(mask: int, n: int) -> set[int]:
@@ -198,6 +202,135 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
             pick ^= low
 
     dfs(0, 0, 0, reduced)
+    return CoverResult(best_size, VertexSet(h.n, best_mask), not exhausted, nodes)
+
+
+# --- the table engine, node for node ----------------------------------------
+#
+# A verbatim copy of the transposition-table engine (one stack entry per
+# child, packing conflicts recomputed per edge).  It shares the package's
+# edge filter, incidence, greedy and bit-slice helpers, so only the search
+# loop and the packing bound are under test.
+
+
+def reference_table_packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:
+    """Greedy count of pairwise-disjoint live edges, restricted to the
+    unbanned vertices and taken lowest index first; a lower bound on the
+    cover.  Counting stops once it reaches ``limit``."""
+    packed = 0
+    while live and packed < limit:
+        packed += 1
+        m = masks[(live & -live).bit_length() - 1] & ~banned
+        hit = 0  # every edge sharing an allowed vertex with this one
+        while m:
+            low = m & -m
+            hit |= inc[low.bit_length() - 1]
+            m ^= low
+        live &= ~hit
+    return packed
+
+
+def reference_table_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
+    """The table engine before leaf children were expanded in place, verbatim.
+
+    The fast engine must match it node for node: same size, witness,
+    optimal flag and ``nodes_explored`` for every input and budget.
+
+    Raises EmptyHyperedgeError if no cover exists.  If the node budget is
+    exhausted, returns the best cover found with ``optimal=False``.
+    """
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
+    if h.has_empty_edge():
+        raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
+    masks = _minimal_masks(h.edges)
+    inc = _incidence(h.n, masks)
+    best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
+    best_size = best_mask.bit_count()
+    nodes = 0
+    exhausted = False
+    table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
+    # A node is (chosen, count, banned, live, planes): the chosen vertices
+    # and their number, the vertices banned by earlier siblings, the edges
+    # not yet hit by chosen, and the bit-sliced count of each live edge's
+    # allowed (unbanned) members.  Popping the last-pushed child first
+    # visits nodes in the preorder of the recursive search.
+    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices([m.bit_count() for m in masks]))]
+    while stack:
+        chosen, count, banned, live, planes = stack.pop()
+        if planes is None:  # close marker: the subtree above it is finished
+            if len(table) >= hypergraphs.TABLE_LIMIT:
+                table.clear()
+            table[live] = best_size - count
+            continue
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            break
+        if not live:
+            if count < best_size:
+                best_size = count
+                best_mask = chosen
+            continue
+        if count + 1 >= best_size:
+            continue
+        high = 0
+        for p in planes[1:]:
+            high |= p
+        if live & ~(planes[0] | high):
+            continue  # every allowed vertex of some live edge was banned
+        allowed = ~banned
+        unit = live & planes[0] & ~high
+        if unit:  # unit propagation: an edge with one allowed vertex forces it
+            forced = 0
+            while unit:
+                bit = masks[(unit & -unit).bit_length() - 1] & allowed
+                forced |= bit
+                hit = inc[bit.bit_length() - 1]
+                unit &= ~hit
+                live &= ~hit
+            chosen |= forced
+            count += forced.bit_count()
+            if count >= best_size:
+                continue
+            if not live:
+                best_size = count
+                best_mask = chosen
+                continue
+            if count + 1 >= best_size:
+                continue
+        if count + table.get(live, 0) >= best_size:
+            continue
+        if count + reference_table_packing(masks, inc, live, banned, best_size - count) >= best_size:
+            continue
+        # Branch on the first live edge of minimum allowed count, members
+        # ascending; each sibling bans the members already tried.
+        least = live
+        for p in reversed(planes):
+            if least & ~p:
+                least &= ~p
+        pick = masks[(least & -least).bit_length() - 1] & allowed
+        stack.append((0, count, 0, live, None))  # close marker, popped after the children
+        children = []
+        while True:
+            low = pick & -pick
+            hit = inc[low.bit_length() - 1]
+            children.append((chosen | low, count + 1, banned, live & ~hit, planes))
+            pick ^= low
+            if not pick:
+                break
+            banned |= low
+            # Bit-sliced decrement of the allowed counts of the live edges
+            # under low; every such count is >= 1, so the borrow dies out.
+            borrow = live & hit
+            planes = planes[:]
+            j = 0
+            while borrow:
+                p = planes[j]
+                planes[j] = p ^ borrow
+                borrow &= ~p
+                j += 1
+        stack.extend(reversed(children))
     return CoverResult(best_size, VertexSet(h.n, best_mask), not exhausted, nodes)
 
 

@@ -211,6 +211,22 @@ class TestGraphConstruction:
         assert g.rows == (0b0010, 0b0101, 0b1010, 0b0100)
         assert g.closed_rows == (0b0011, 0b0111, 0b1110, 0b1100)
         assert Graph(4, g.rows) == g and Graph(4, g.rows).closed_rows == g.closed_rows
+        # rows given as a list are stored as a tuple: equal and hashable
+        listed = Graph(4, list(g.rows))
+        assert listed == g and hash(listed) == hash(g)
+
+    @pytest.mark.parametrize("n, rows, message", [
+        (3, (0b010, 0b001), "2 rows for 3 vertices"),
+        (2, (0b10, 0b01, 0b0), "3 rows for 2 vertices"),
+        (3, (0b110, 0b000, 0b1000), "row 2 has bits outside 0..2"),
+        (2, (-1, 0b01), "row 0 has bits outside 0..1"),
+        (3, (0b010, 0b011, 0b000), "self-loop at vertex 1"),
+    ], ids=["too-few-rows", "too-many-rows", "bit-at-n", "negative-row", "own-bit"])
+    def test_rows_that_are_not_a_graph_refused(self, n, rows, message):
+        # before the check, Graph(3, (0b110, 0, 0b1000)) listed the edge
+        # (2, 3) and failed only later, inside Hypergraph
+        with pytest.raises(GraphFormatError, match=message):
+            Graph(n, rows)
 
     def test_value_semantics_and_immutability(self):
         a = Graph.from_edges(4, [(0, 1), (2, 3)])

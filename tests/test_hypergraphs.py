@@ -17,6 +17,7 @@ from sepcodes import (
     is_cover,
     min_cover,
     precedes,
+    random_gnp,
     remove_redundant,
     x_number,
 )
@@ -36,6 +37,7 @@ from conftest import (
     reference_min_cover,
     reference_minimal_masks,
     reference_packing_lower_bound,
+    reference_table_min_cover,
 )
 
 
@@ -285,11 +287,13 @@ def cover_outcome(solve, h, budget):
 
 
 def check_against_reference(h, budget) -> bool:
-    """The table only cuts subtrees without a strictly better cover, so the
-    engine meets the reference's incumbents in the same order: the same
-    answer wherever the reference proves, never a larger size and never
-    more nodes.  Returns whether the table saved nodes."""
+    """The engine matches the table engine node for node.  The table only
+    cuts subtrees without a strictly better cover, so the engine meets the
+    list-based reference's incumbents in the same order: the same answer
+    wherever the reference proves, never a larger size and never more
+    nodes.  Returns whether the table saved nodes."""
     got = cover_outcome(min_cover, h, budget)
+    assert got == cover_outcome(reference_table_min_cover, h, budget), (h.n, h.edges, budget)
     want = cover_outcome(reference_min_cover, h, budget)
     if want == "empty":
         assert got == "empty"
@@ -377,6 +381,44 @@ class TestKernelMatchesReference:
         g, _ = graph_from_spec_string(spec)
         res = x_number(g, kind)
         assert res.optimal and res.nodes_explored == nodes
+
+
+class TestNodeForNode:
+    """Leaf children expanded in place and cached packing conflicts change
+    no node: size, witness, flag and ``nodes_explored`` all match the table
+    engine, which pushes every child."""
+
+    @pytest.mark.parametrize("spec, kind", [("cycle:24", CodeKind.FD), ("thick:12", CodeKind.LD)])
+    def test_every_budget(self, spec, kind):
+        # 599 and 1588 nodes unbounded; some budgets run out inside a run
+        # of leaf children, some right after the one that covers
+        h = remove_redundant(build_hypergraph(graph_from_spec_string(spec)[0], kind))
+        for budget in range(1, 301):
+            got = cover_outcome(min_cover, h, budget)
+            assert got == cover_outcome(reference_table_min_cover, h, budget), budget
+            assert got[2:] == (False, budget + 1)
+
+    @pytest.mark.parametrize("limit", [1, 2, 3])
+    def test_tiny_table_limit(self, monkeypatch, limit):
+        # the table engine reads the patched limit too; at limit 3 a leaf
+        # expansion that wrote without clearing a full table would keep
+        # entries the table engine drops, and cut other nodes
+        monkeypatch.setattr(hypergraphs, "TABLE_LIMIT", limit)
+        for spec, kind in (("path:18", CodeKind.ITD), ("path:18", CodeKind.OD),
+                           ("path:24", CodeKind.FD), ("cycle:24", CodeKind.FD)):
+            h = build_hypergraph(graph_from_spec_string(spec)[0], kind)
+            got = cover_outcome(min_cover, h, None)
+            assert got == cover_outcome(reference_table_min_cover, h, None), (spec, kind)
+
+    def test_dense_gnp_pinned(self):
+        # a seeded G(40, 0.3): the bench's dense ops run out of budget the
+        # same way, and nodes_explored counts the node that crossed the cap
+        g = random_gnp(40, 0.3, random.Random(0))
+        h = build_hypergraph(g, CodeKind.ID)
+        got = cover_outcome(min_cover, h, 50_000)
+        assert got == cover_outcome(reference_table_min_cover, h, 50_000)
+        assert (got[0], got[2], got[3]) == (8, False, 50_001)
+        assert is_cover(h, VertexSet(h.n, got[1]))
 
 
 def _stack_depth() -> int:
