@@ -349,7 +349,7 @@ def _cmd_reduce(args, out) -> int:
         f"formula: {n} variables, {m} clauses",
         f"gadget: {gg.graph.n} vertices, {gg.graph.num_edges} edges",
     ]
-    labels = sat_reduction.gadget_label_map(gg)
+    labels = gg.labels
     if args.output:
         edges_path = Path(args.output + ".edges")
         labels_path = Path(args.output + ".labels.json")
@@ -452,12 +452,13 @@ def _cmd_family(args, out) -> int:
     if spec is not None:
         for kind in codes.CodeKind:
             formulas[kind.value] = families.formula_x_number(spec, kind)
+    rows = format_edge_list(g).splitlines()
     report = _report(args, spec=args.spec,
                      graph={"vertices": g.n, "edges": g.num_edges},
-                     edge_list=format_edge_list(g).splitlines(),
+                     edge_list=rows,
                      known_numbers=formulas)
     lines = [f"spec: {args.spec}", "edge list:"]
-    lines.extend("  " + row for row in format_edge_list(g).splitlines())
+    lines.extend("  " + row for row in rows)
     if formulas:
         lines.append("known X-numbers:")
         for name, value in formulas.items():

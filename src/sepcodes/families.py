@@ -187,11 +187,6 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(a.n + b.n, edges)
 
 
-def single_vertex() -> Graph:
-    """The one-vertex graph (handy for the '+k1' disjoint-union suffix)."""
-    return Graph.from_edges(1, [])
-
-
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
     """Uniform G(n, p) sample, for randomized property tests."""
     edges = [
@@ -230,4 +225,4 @@ def graph_from_spec_string(text: str) -> tuple[Graph, FamilySpec | None]:
         return g, spec
     if suffix.strip().lower() != "k1":
         raise ValueError(f"unknown family suffix {suffix!r} (only '+k1' is supported)")
-    return disjoint_union(g, single_vertex()), None
+    return disjoint_union(g, Graph.from_edges(1, [])), None

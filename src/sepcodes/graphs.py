@@ -22,7 +22,10 @@ from typing import Iterable, Iterator
 # Largest vertex count a graph may have.  Graph.from_edges and FamilySpec
 # refuse larger counts before allocating rows or edge lists, so a bad
 # header or family size fails with a message instead of a MemoryError.
-MAX_VERTICES = 100_000
+# Rows are dense ints as wide as their highest neighbor, and closed_rows
+# holds a second one per vertex, so even a sparse graph costs about
+# n^2 / 8 bytes: path:20000 raises peak RSS by 55 MB.
+MAX_VERTICES = 20_000
 
 
 class GraphFormatError(ValueError):

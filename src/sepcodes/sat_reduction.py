@@ -13,6 +13,10 @@ z1 and z2 hang off s1 and s2.  w1 stands for the positive literal, w2
 for the negated one.  Per-clause widget: a 3-vertex chain u1-u2-u3; u1
 is wired to the w-vertex of every literal in the clause.
 
+Vertex ids: part p of variable i is 10(i-1) + _VAR_PARTS.index(p), named
+'p^xi' ('v1^x3'); part p of clause j is 10n + 3(j-1) +
+_CLAUSE_PARTS.index(p), named 'p^yj' ('u2^y1').
+
 The module also carries the two translations (assignment -> code and
 code -> assignment) and a brute-force satisfiability oracle used to
 validate the correspondence on small instances.
@@ -114,7 +118,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError("missing 'p cnf' header")
     if current:
         raise DimacsError("last clause not terminated by 0")
-    if num_clauses is not None and len(clauses) != num_clauses:
+    if len(clauses) != num_clauses:
         raise DimacsError(f"header announced {num_clauses} clauses, found {len(clauses)}")
     try:
         return CnfFormula(num_vars, tuple(clauses))
@@ -148,30 +152,37 @@ def brute_force_sat(formula: CnfFormula) -> tuple[bool, ...] | None:
 
 @dataclass(frozen=True)
 class GadgetGraph:
-    """The encoded graph plus the name -> vertex-id bijection.
-
-    Names look like 'v1^x3' (part v1 of the widget for variable 3) and
-    'u2^y1' (part u2 of the widget for clause 1).
-    """
+    """The encoded graph plus its formula; ids and names as in the module docstring."""
 
     graph: Graph
-    labels: dict[str, int]
+    formula: CnfFormula
 
     @property
     def num_vars(self) -> int:
-        return sum(1 for name in self.labels if name.startswith("v1^x"))
+        return self.formula.num_vars
 
     @property
     def num_clauses(self) -> int:
-        return sum(1 for name in self.labels if name.startswith("u1^y"))
+        return self.formula.num_clauses
+
+    @property
+    def labels(self) -> dict[str, int]:
+        """Name -> id map in id order, e.g. labels['v1^x3'] == 20."""
+        names = [f"{part}^x{i}" for i in range(1, self.num_vars + 1) for part in _VAR_PARTS]
+        names += [f"{part}^y{j}" for j in range(1, self.num_clauses + 1) for part in _CLAUSE_PARTS]
+        return {name: vid for vid, name in enumerate(names)}
 
     def var_vertex(self, var: int, part: str) -> int:
         """Id of a variable-widget vertex, e.g. var_vertex(2, 'w1')."""
-        return self.labels[f"{part}^x{var}"]
+        if not 1 <= var <= self.num_vars or part not in _VAR_PARTS:
+            raise KeyError(f"{part}^x{var}")
+        return 10 * (var - 1) + _VAR_PARTS.index(part)
 
     def clause_vertex(self, clause: int, part: str) -> int:
         """Id of a clause-widget vertex, e.g. clause_vertex(1, 'u3')."""
-        return self.labels[f"{part}^y{clause}"]
+        if not 1 <= clause <= self.num_clauses or part not in _CLAUSE_PARTS:
+            raise KeyError(f"{part}^y{clause}")
+        return 10 * self.num_vars + 3 * (clause - 1) + _CLAUSE_PARTS.index(part)
 
 
 def build_gadget(formula: CnfFormula) -> GadgetGraph:
@@ -185,38 +196,21 @@ def build_gadget(formula: CnfFormula) -> GadgetGraph:
     """
     n, m = formula.num_vars, formula.num_clauses
     check_vertex_count(10 * n + 3 * m)
-    labels: dict[str, int] = {}
-    for i in range(1, n + 1):
-        base = (i - 1) * 10
-        for offset, part in enumerate(_VAR_PARTS):
-            labels[f"{part}^x{i}"] = base + offset
-    for j in range(1, m + 1):
-        base = 10 * n + (j - 1) * 3
-        for offset, part in enumerate(_CLAUSE_PARTS):
-            labels[f"{part}^y{j}"] = base + offset
-
     edges: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        v1, v2, v3, w1, w2, s1, s2, s3, z1, z2 = (
-            labels[f"{part}^x{i}"] for part in _VAR_PARTS
-        )
-        six = [v1, w1, w2, s1, s2, s3]
-        missing = {frozenset((w1, w2)), frozenset((v1, s1)),
-                   frozenset((v1, s2)), frozenset((v1, s3))}
+    for base in range(0, 10 * n, 10):
+        v1, v2, v3, w1, w2, s1, s2, s3, z1, z2 = range(base, base + 10)
+        missing = ((w1, w2), (v1, s1), (v1, s2), (v1, s3))
         edges.extend(
-            (a, b)
-            for a, b in itertools.combinations(six, 2)
-            if frozenset((a, b)) not in missing
+            pair for pair in itertools.combinations((v1, w1, w2, s1, s2, s3), 2)
+            if pair not in missing
         )
         edges.extend([(v1, v2), (v2, v3), (s1, z1), (s2, z2)])
-    for j, clause in enumerate(formula.clauses, start=1):
-        u1 = labels[f"u1^y{j}"]
-        edges.append((u1, labels[f"u2^y{j}"]))
-        edges.append((labels[f"u2^y{j}"], labels[f"u3^y{j}"]))
+    for base, clause in zip(range(10 * n, 10 * n + 3 * m, 3), formula.clauses):
+        u1, u2, u3 = range(base, base + 3)
+        edges.extend([(u1, u2), (u2, u3)])
         for lit in clause:
-            w = labels[f"{'w1' if lit > 0 else 'w2'}^x{abs(lit)}"]
-            edges.append((u1, w))
-    return GadgetGraph(Graph.from_edges(10 * n + 3 * m, edges), labels)
+            edges.append((u1, 10 * (abs(lit) - 1) + _VAR_PARTS.index("w1" if lit > 0 else "w2")))
+    return GadgetGraph(Graph.from_edges(10 * n + 3 * m, edges), formula)
 
 
 def code_from_assignment(
@@ -235,14 +229,10 @@ def code_from_assignment(
     n, m = gg.num_vars, gg.num_clauses
     if len(assignment) != n:
         raise ValueError(f"assignment length {len(assignment)} != {n} variables")
-    picks: list[int] = []
-    for j in range(1, m + 1):
-        picks.append(gg.clause_vertex(j, "u1"))
-        picks.append(gg.clause_vertex(j, "u2"))
-    for i in range(1, n + 1):
-        for part in ("v1", "v2", "z1", "z2", "s1", "s2"):
+    picks = [gg.clause_vertex(j, part) for j in range(1, m + 1) for part in ("u1", "u2")]
+    for i, value in enumerate(assignment, start=1):
+        for part in ("v1", "v2", "z1", "z2", "s1", "s2", "w1" if value else "w2"):
             picks.append(gg.var_vertex(i, part))
-        picks.append(gg.var_vertex(i, "w1" if assignment[i - 1] else "w2"))
     if kind is CodeKind.FD:
         picks.remove(gg.var_vertex(1, "s1"))
     return VertexSet.of(gg.graph.n, picks)
@@ -269,7 +259,3 @@ def assignment_from_code(gg: GadgetGraph, code: VertexSet) -> tuple[bool, ...] |
         values.append(w1)
     return tuple(values)
 
-
-def gadget_label_map(gg: GadgetGraph) -> dict[str, int]:
-    """Name -> id map in deterministic (id) order, for serialization."""
-    return dict(sorted(gg.labels.items(), key=lambda kv: kv[1]))

@@ -26,7 +26,9 @@ from sepcodes import (
 )
 from sepcodes import hypergraphs
 from sepcodes.codes import FAMILIES, Nbhd
+from sepcodes.graphs import check_vertex_count
 from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
+from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS
 
 
 def ids(mask: int, n: int) -> set[int]:
@@ -604,6 +606,48 @@ def exhaustive_small_formulas(max_vars: int, max_clauses: int) -> Iterable[CnfFo
                 used = {abs(lit) for clause in combo for lit in clause}
                 if len(used) == n:
                     yield CnfFormula(n, combo)
+
+
+def reference_build_gadget(formula: CnfFormula) -> tuple[Graph, dict[str, int]]:
+    """The gadget built through a stored name -> id dict and label lookups.
+
+    Oracle for the arithmetic ids of sat_reduction.build_gadget: returns
+    the graph and the label map, in id order.
+    """
+    n, m = formula.num_vars, formula.num_clauses
+    check_vertex_count(10 * n + 3 * m)
+    labels: dict[str, int] = {}
+    for i in range(1, n + 1):
+        base = (i - 1) * 10
+        for offset, part in enumerate(_VAR_PARTS):
+            labels[f"{part}^x{i}"] = base + offset
+    for j in range(1, m + 1):
+        base = 10 * n + (j - 1) * 3
+        for offset, part in enumerate(_CLAUSE_PARTS):
+            labels[f"{part}^y{j}"] = base + offset
+
+    edges: list[tuple[int, int]] = []
+    for i in range(1, n + 1):
+        v1, v2, v3, w1, w2, s1, s2, s3, z1, z2 = (
+            labels[f"{part}^x{i}"] for part in _VAR_PARTS
+        )
+        six = [v1, w1, w2, s1, s2, s3]
+        missing = {frozenset((w1, w2)), frozenset((v1, s1)),
+                   frozenset((v1, s2)), frozenset((v1, s3))}
+        edges.extend(
+            (a, b)
+            for a, b in itertools.combinations(six, 2)
+            if frozenset((a, b)) not in missing
+        )
+        edges.extend([(v1, v2), (v2, v3), (s1, z1), (s2, z2)])
+    for j, clause in enumerate(formula.clauses, start=1):
+        u1 = labels[f"u1^y{j}"]
+        edges.append((u1, labels[f"u2^y{j}"]))
+        edges.append((labels[f"u2^y{j}"], labels[f"u3^y{j}"]))
+        for lit in clause:
+            w = labels[f"{'w1' if lit > 0 else 'w2'}^x{abs(lit)}"]
+            edges.append((u1, w))
+    return Graph.from_edges(10 * n + 3 * m, edges), labels
 
 
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:

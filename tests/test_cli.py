@@ -115,6 +115,14 @@ class TestSolve:
             assert run_cli(*argv)[0] == 1
             assert "exceeds the limit" in capsys.readouterr().err
 
+    def test_one_past_vertex_limit_refused(self, tmp_path, capsys):
+        wide = tmp_path / "wide.edges"
+        wide.write_text("20001 0\n", encoding="utf-8")
+        for argv in (("family", "path:20001"),
+                     ("verify", str(wide), "--kind", "fd", "--code", "0")):
+            assert run_cli(*argv)[0] == 1
+            assert "vertex count 20001 exceeds the limit of 20000" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_accept_report_fields(self):
@@ -190,6 +198,18 @@ class TestReduce:
         assert edges.startswith("26 ")
         labels = json.loads((tmp_path / "out.labels.json").read_text(encoding="utf-8"))
         assert labels["v1^x1"] == 0 and len(labels) == 26
+
+    def test_output_files_pinned(self, tmp_path):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 1 1\n1 0\n", encoding="utf-8")
+        assert run_cli("reduce", str(cnf), "-o", str(tmp_path / "out"))[0] == 0
+        edges = ("13 18\n0 1\n0 3\n0 4\n1 2\n3 5\n3 6\n3 7\n3 10\n4 5\n4 6\n4 7\n"
+                 "5 6\n5 7\n5 8\n6 7\n6 9\n10 11\n11 12\n")
+        names = ["v1^x1", "v2^x1", "v3^x1", "w1^x1", "w2^x1", "s1^x1", "s2^x1", "s3^x1",
+                 "z1^x1", "z2^x1", "u1^y1", "u2^y1", "u3^y1"]
+        labels = "{\n" + ",\n".join(f'  "{name}": {vid}' for vid, name in enumerate(names))
+        assert (tmp_path / "out.edges").read_bytes() == edges.encode()
+        assert (tmp_path / "out.labels.json").read_bytes() == (labels + "\n}\n").encode()
 
     def test_check_satisfiable(self, tmp_path):
         cnf = tmp_path / "f.cnf"

@@ -17,9 +17,9 @@ from sepcodes import (
     verify_code,
     x_number,
 )
-from sepcodes.sat_reduction import satisfies
+from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS, satisfies
 
-from conftest import exhaustive_small_formulas
+from conftest import exhaustive_small_formulas, reference_build_gadget
 
 
 class TestParseDimacs:
@@ -155,6 +155,38 @@ class TestBuildGadget:
         gg = build_gadget(CnfFormula(2, ((1, 2),)))
         assert len(gg.labels) == gg.graph.n
         assert sorted(gg.labels.values()) == list(range(gg.graph.n))
+
+    def test_matches_label_dict_reference(self):
+        rng = random.Random(17)
+        formulas = list(exhaustive_small_formulas(2, 2))
+        for _ in range(30):
+            n, m = rng.randint(1, 12), rng.randint(1, 40)
+            formulas.append(CnfFormula(n, tuple(
+                tuple(v * rng.choice((1, -1))
+                      for v in rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+                for _ in range(m))))
+        formulas.append(_random_formulas(rng, 1, num_vars=12, num_clauses=40)[0])
+        for f in formulas:
+            gg = build_gadget(f)
+            graph, labels = reference_build_gadget(f)
+            assert gg.graph == graph, f
+            assert list(gg.labels.items()) == list(labels.items()), f
+            assert (gg.num_vars, gg.num_clauses) == (f.num_vars, f.num_clauses)
+            for i in range(1, f.num_vars + 1):
+                for part in _VAR_PARTS:
+                    assert gg.var_vertex(i, part) == labels[f"{part}^x{i}"]
+            for j in range(1, f.num_clauses + 1):
+                for part in _CLAUSE_PARTS:
+                    assert gg.clause_vertex(j, part) == labels[f"{part}^y{j}"]
+
+    def test_unknown_vertex_name_raises(self):
+        gg = build_gadget(CnfFormula(2, ((1, 2),)))
+        for var, part in ((0, "v1"), (3, "v1"), (1, "u1")):
+            with pytest.raises(KeyError):
+                gg.var_vertex(var, part)
+        for clause, part in ((0, "u1"), (2, "u1"), (1, "w1")):
+            with pytest.raises(KeyError):
+                gg.clause_vertex(clause, part)
 
     def test_twin_free_and_isolate_free(self):
         rng = random.Random(5)
