@@ -16,15 +16,13 @@ inputs exit 1 too; any other exception is a defect and propagates.
 Reports are human-readable by default; ``--json`` switches to a canonical
 JSON rendering (sorted keys, fixed layout) that is byte-stable across
 runs when ``--deterministic`` is given (which zeroes wall-clock fields).
-The default node budget can be overridden by the SEPCODES_BUDGET
-environment variable or the ``--budget`` flag.
+``--budget`` overrides the default node budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -52,44 +50,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, graph_source: bool = True) -> None:
-        if graph_source:
-            p.add_argument("graph", nargs="?", help="edge-list file (or use --family)")
-            p.add_argument("--family", help="family spec like path:12, half:4, thin:5[+k1]")
-        p.add_argument("--budget", type=_positive_int,
-                       help="branch-node budget for the exact solver")
-        p.add_argument("--deterministic", action="store_true",
-                       help="byte-stable reports: zeroed timings")
-        p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
+    def graph_command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("graph", nargs="?", help="edge-list file (or use --family)")
+        p.add_argument("--family", help="family spec like path:12, half:4, thin:5[+k1]")
+        return p
 
-    p_solve = sub.add_parser("solve", help="compute an exact X-number")
-    add_common(p_solve)
-    p_solve.add_argument("--kind", required=True, help="one of id, itd, ld, ltd, fd, ftd, od, otd")
+    p_solve = graph_command("solve", "compute an exact X-number")
+    p_solve.add_argument("--kind", required=True, type=str.lower,
+                         help="one of id, itd, ld, ltd, fd, ftd, od, otd")
 
-    p_verify = sub.add_parser("verify", help="verify a candidate code")
-    add_common(p_verify)
-    p_verify.add_argument("--kind", required=True)
+    p_verify = graph_command("verify", "verify a candidate code")
+    p_verify.add_argument("--kind", required=True, type=str.lower)
     p_verify.add_argument("--code", nargs="*", type=int, default=[],
                           help="vertex ids of the candidate code")
 
-    p_rel = sub.add_parser("relations", help="X-numbers plus inequality checks")
-    add_common(p_rel)
+    graph_command("relations", "X-numbers plus inequality checks")
 
     p_red = sub.add_parser("reduce", help="encode a DIMACS CNF file as a gadget graph")
     p_red.add_argument("cnf", help="DIMACS CNF file")
     p_red.add_argument("-o", "--output", help="write PREFIX.edges and PREFIX.labels.json")
     p_red.add_argument("--check", action="store_true",
                        help="run the satisfiability/code-size correspondence end to end")
-    add_common(p_red, graph_source=False)
 
-    p_hyp = sub.add_parser("hypergraph", help="dump an X-hypergraph")
-    add_common(p_hyp)
-    p_hyp.add_argument("--kind", required=True)
+    p_hyp = graph_command("hypergraph", "dump an X-hypergraph")
+    p_hyp.add_argument("--kind", required=True, type=str.lower)
 
     p_fam = sub.add_parser("family", help="print a family graph and its known X-numbers")
     p_fam.add_argument("spec", help="family spec like path:12 or half:4+k1")
-    add_common(p_fam, graph_source=False)
 
+    for p in sub.choices.values():
+        p.add_argument("--budget", type=_positive_int,
+                       help="branch-node budget for the exact solver")
+        p.add_argument("--deterministic", action="store_true",
+                       help="byte-stable reports: zeroed timings")
+        p.add_argument("--json", action="store_true", help="emit the report as canonical JSON")
     return parser
 
 
@@ -104,15 +99,7 @@ def _positive_int(text: str) -> int:
 
 
 def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SEPCODES_BUDGET")
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"SEPCODES_BUDGET: {exc}") from None
-    return DEFAULT_NODE_BUDGET
+    return args.budget or DEFAULT_NODE_BUDGET
 
 
 def _load_graph(args) -> tuple[Graph, str]:
@@ -136,34 +123,23 @@ def _parsed(parse, *args):
         raise _UsageError(str(exc)) from None
 
 
+_POSITIONALS = ("command", "graph", "cnf", "spec")
+
+
 def _command_echo(args) -> str:
     """Canonical reconstruction of the invocation from parsed arguments.
 
-    Field order is fixed, so deterministic reports are byte-identical.
+    Arguments appear in the parser's order, unset ones omitted, so
+    deterministic reports are byte-identical.
     """
-    parts = [args.command]
-    for positional in ("graph", "cnf", "spec"):
-        value = getattr(args, positional, None)
-        if value:
-            parts.append(str(value))
-    if getattr(args, "family", None):
-        parts.extend(["--family", args.family])
-    if getattr(args, "kind", None):
-        parts.extend(["--kind", args.kind.lower()])
-    code = getattr(args, "code", None)
-    if code:
-        parts.append("--code")
-        parts.extend(str(v) for v in code)
-    if getattr(args, "output", None):
-        parts.extend(["--output", args.output])
-    if getattr(args, "check", False):
-        parts.append("--check")
-    if args.budget is not None:
-        parts.extend(["--budget", str(args.budget)])
-    if args.deterministic:
-        parts.append("--deterministic")
-    if args.json:
-        parts.append("--json")
+    parts = []
+    for dest, value in vars(args).items():
+        if not value:
+            continue
+        if dest not in _POSITIONALS:
+            parts.append(f"--{dest}")
+        if value is not True:
+            parts.extend(map(str, value) if isinstance(value, list) else [str(value)])
     return " ".join(parts)
 
 

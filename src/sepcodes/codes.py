@@ -30,7 +30,7 @@ pair.  That build refuses graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .graphs import Graph, GraphFormatError, VertexSet, bit_ids
@@ -85,24 +85,22 @@ FAMILIES: dict[CodeKind, SeparationFamilies] = {
     CodeKind.OTD: SeparationFamilies(_O, _O, _O),
 }
 
-# gamma^lo <= gamma^hi whenever both types are admissible; each entry flips
-# exactly one family between the two types.  "domination": total-domination
-# edges are contained in domination edges; "adjacent": closed-pair diffs are
-# contained in open-pair diffs; "nonadjacent": open-pair diffs are contained
-# in closed-pair diffs.
-KIND_INEQUALITIES: tuple[tuple[CodeKind, CodeKind, str], ...] = (
-    (CodeKind.ID, CodeKind.ITD, "domination"),
-    (CodeKind.LD, CodeKind.LTD, "domination"),
-    (CodeKind.FD, CodeKind.FTD, "domination"),
-    (CodeKind.OD, CodeKind.OTD, "domination"),
-    (CodeKind.LD, CodeKind.ID, "adjacent"),
-    (CodeKind.LTD, CodeKind.ITD, "adjacent"),
-    (CodeKind.OD, CodeKind.FD, "adjacent"),
-    (CodeKind.OTD, CodeKind.FTD, "adjacent"),
-    (CodeKind.ID, CodeKind.FD, "nonadjacent"),
-    (CodeKind.ITD, CodeKind.FTD, "nonadjacent"),
-    (CodeKind.LD, CodeKind.OD, "nonadjacent"),
-    (CodeKind.LTD, CodeKind.OTD, "nonadjacent"),
+# The flavor of each family whose edges are contained in the other's: N(v)
+# lies in N[v]; the closed-pair difference of adjacent u, v is the open one
+# minus {u, v}; for non-adjacent u, v it is the reverse.
+_CONTAINED_FLAVOR = {"domination": _O, "adjacent_pairs": _C, "nonadjacent_pairs": _O}
+
+# gamma^lo <= gamma^hi whenever both types are admissible: hi's recipe is
+# lo's with one family switched to its contained flavor, so every edge of
+# the hi-hypergraph lies inside the matching lo edge.  The third field
+# names the switched family.
+KIND_INEQUALITIES: tuple[tuple[CodeKind, CodeKind, str], ...] = tuple(
+    (lo, hi, field.removesuffix("_pairs"))
+    for field, flavor in _CONTAINED_FLAVOR.items()
+    for lo in CodeKind
+    if getattr(FAMILIES[lo], field) is not flavor
+    for hi in CodeKind
+    if FAMILIES[hi] == replace(FAMILIES[lo], **{field: flavor})
 )
 
 

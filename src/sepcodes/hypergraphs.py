@@ -18,10 +18,15 @@ Search, greedy cover and packing bound share one incidence-bitset kernel:
 (the "transposed" bitsets of San Segundo, Rodriguez-Losada and Jimenez,
 C&OR 2011).  The uncovered edges are one int, and taking v is
 ``live &= ~inc[v]``.  Each edge's count of allowed (unbanned) members is
-kept bit-sliced in a few plane ints over edge indices, so dead edges,
-unit edges and the branching edge each take a few whole-set operations,
-and banning v is one borrow-chain decrement on ``inc[v] & live``.  The
-search is an iterative depth-first loop over an explicit stack.
+kept bit-sliced in a few plane ints over edge indices, so unit edges
+and the branching edge each take a few whole-set operations, and banning
+v is one borrow-chain decrement on ``inc[v] & live``.  The search is an
+iterative depth-first loop over an explicit stack.
+
+No live edge ever runs out of allowed members, so the search needs no
+dead-edge test: the root has no empty edge, the branching edge E has the
+least allowed count c among the live edges, and child i bans only
+i - 1 < c vertices, so each live edge of that child keeps one.
 
 Two shortcuts make a node cheaper without changing which nodes are
 visited.  A branching node at ``best - 2`` chosen vertices has only leaf
@@ -302,8 +307,6 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
         high = 0
         for p in planes[1:]:
             high |= p
-        if live & ~(planes[0] | high):
-            continue  # every allowed vertex of some live edge was banned
         allowed = ~banned
         unit = live & planes[0] & ~high
         if unit:  # unit propagation: an edge with one allowed vertex forces it

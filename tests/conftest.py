@@ -674,3 +674,22 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges_b for u, v in a.edges()):
             return True
     return False
+
+
+# Malformed inputs with the message each parser gives for them; the parser
+# tests and the CLI tests (which must exit 1 on each) share these cases.
+MALFORMED_EDGE_LISTS = [
+    ("3 1 2\n0 1\n", "line 1: expected header 'n m'"),
+    ("x 1\n0 1\n", "line 1: non-integer header"),
+    ("-3 1\n0 1\n", "line 1: negative header values"),
+    ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+]
+
+MALFORMED_DIMACS = [
+    ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate problem line"),
+    ("p cnf 1\n1 0\n", "line 1: expected 'p cnf <vars> <clauses>'"),
+    ("p cnf x 1\n1 0\n", "line 1: non-integer problem counts"),
+    ("p cnf 1 1\n0\n", "line 2: empty clause"),
+    ("c only a comment\n", "missing 'p cnf' header"),
+    ("p cnf 0 0\n", "formula needs at least one variable"),
+]

@@ -7,6 +7,8 @@ import pytest
 from sepcodes import codes
 from sepcodes.cli import main, render_json
 
+from conftest import MALFORMED_DIMACS, MALFORMED_EDGE_LISTS
+
 
 def run_cli(*argv):
     buf = io.StringIO()
@@ -50,14 +52,6 @@ class TestSolve:
         assert "size: 8" in out
         assert "optimal: yes" in out
 
-    def test_env_budget_override(self, monkeypatch):
-        monkeypatch.setenv("SEPCODES_BUDGET", "2")
-        code, report = run_json("solve", "--family", "cycle:24", "--kind", "fd")
-        assert code == 2
-        monkeypatch.setenv("SEPCODES_BUDGET", "1000000")
-        code, _ = run_json("solve", "--family", "cycle:24", "--kind", "fd")
-        assert code == 0
-
     def test_graph_file_input(self, tmp_path):
         path = tmp_path / "p4.edges"
         path.write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
@@ -65,7 +59,7 @@ class TestSolve:
         assert code == 0
         assert report["results"][0]["size"] == 4
 
-    def test_usage_errors(self, monkeypatch):
+    def test_usage_errors(self):
         assert run_cli("solve", "--kind", "fd")[0] == 1
         assert run_cli("solve", "--family", "path:12", "--kind", "bogus")[0] == 1
         assert run_cli("solve", "--family", "nope:3", "--kind", "fd")[0] == 1
@@ -74,8 +68,6 @@ class TestSolve:
         for budget in ("0", "-5"):
             assert run_cli("solve", "--family", "path:12", "--kind", "ftd",
                            "--budget", budget)[0] == 1
-            monkeypatch.setenv("SEPCODES_BUDGET", budget)
-            assert run_cli("solve", "--family", "path:12", "--kind", "ftd")[0] == 1
 
     def test_more_usage_errors(self, tmp_path):
         binary = tmp_path / "binary.edges"
@@ -90,6 +82,15 @@ class TestSolve:
                      ("family", "path:x"),
                      ("family", "half:0")):
             assert run_cli(*argv)[0] == 1, argv
+
+    @pytest.mark.parametrize("command, text, message",
+                             [(("solve", "--kind", "fd"), *case) for case in MALFORMED_EDGE_LISTS]
+                             + [(("reduce",), *case) for case in MALFORMED_DIMACS])
+    def test_malformed_input_files(self, command, text, message, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(*command, str(path))[0] == 1
+        assert message in capsys.readouterr().err
 
     def test_hypergraph_vertex_limit(self, capsys):
         for argv in (("solve", "--family", "path:2001", "--kind", "ftd"),
@@ -237,6 +238,20 @@ class TestReduce:
         cnf.write_text(f"p cnf 3 5\n{clauses}\n", encoding="utf-8")
         assert run_cli("reduce", str(cnf), "--check")[0] == 1
 
+    def test_check_not_admissible(self, tmp_path, capsys):
+        # variable 2 occurs in no clause, so its widget has twins
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1 0\n", encoding="utf-8")
+        assert run_cli("reduce", str(cnf), "--check")[0] == 3
+        assert "not FTD-admissible" in capsys.readouterr().err
+
+    def test_check_budget_exhausted(self, tmp_path):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(self.DIMACS, encoding="utf-8")
+        code, report = run_json("reduce", str(cnf), "--check", "--budget", "1")
+        assert code == 2
+        assert report["check"]["ftd"]["optimal"] and not report["check"]["fd"]["optimal"]
+
     def test_oversized_gadget_refused(self, tmp_path, capsys):
         # 10n + 3m vertices: refused before any label or edge is built
         cnf = tmp_path / "huge.cnf"
@@ -284,6 +299,27 @@ class TestFamilyCommand:
 
 
 class TestReportStability:
+    @pytest.mark.parametrize("argv, command", [
+        ("solve --json --budget 7 --kind FD --family path:6",
+         "solve --family path:6 --kind fd --budget 7 --json"),
+        ("verify --json --deterministic --code 2 0 --kind Ftd g.edges",
+         "verify g.edges --kind ftd --code 2 0 --deterministic --json"),
+        ("relations --json --budget 50 --family path:4",
+         "relations --family path:4 --budget 50 --json"),
+        ("reduce --json --check -o out f.cnf",
+         "reduce f.cnf --output out --check --json"),
+        ("hypergraph --deterministic --json --kind LD --family path:4",
+         "hypergraph --family path:4 --kind ld --deterministic --json"),
+        ("family --json --budget 3 path:5",
+         "family path:5 --budget 3 --json"),
+    ])
+    def test_command_echo_is_canonical(self, argv, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.edges").write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        (tmp_path / "f.cnf").write_text("p cnf 1 1\n1 0\n", encoding="utf-8")
+        _, out = run_cli(*argv.split())
+        assert json.loads(out)["command"] == command
+
     def test_json_round_trip_byte_identical(self):
         _, out = run_cli("solve", "--family", "path:12", "--kind", "ftd",
                          "--deterministic", "--json")

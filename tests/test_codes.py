@@ -459,6 +459,17 @@ class TestXNumber:
 
 
 class TestKnownInequalities:
+    def test_twelve_arrows_in_order(self):
+        # derived from FAMILIES; the order fixes the order of `relations` checks
+        assert [(lo.value, hi.value, case) for lo, hi, case in KIND_INEQUALITIES] == [
+            ("ID", "ITD", "domination"), ("LD", "LTD", "domination"),
+            ("FD", "FTD", "domination"), ("OD", "OTD", "domination"),
+            ("LD", "ID", "adjacent"), ("LTD", "ITD", "adjacent"),
+            ("OD", "FD", "adjacent"), ("OTD", "FTD", "adjacent"),
+            ("ID", "FD", "nonadjacent"), ("ITD", "FTD", "nonadjacent"),
+            ("LD", "OD", "nonadjacent"), ("LTD", "OTD", "nonadjacent"),
+        ]
+
     def test_arrows_imply_precedes(self):
         rng = random.Random(61)
         for _ in range(20):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from sepcodes import (
 from sepcodes.graphs import MAX_VERTICES
 
 from conftest import (
+    MALFORMED_EDGE_LISTS,
     complete_graph,
     reference_closed_twins,
     reference_edges,
@@ -325,3 +327,8 @@ class TestEdgeListFormat:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("3 1\n1 1\n")
+
+    @pytest.mark.parametrize("text, message", MALFORMED_EDGE_LISTS)
+    def test_malformed_lines_refused(self, text, message):
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            parse_edge_list(text)

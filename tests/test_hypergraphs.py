@@ -410,6 +410,18 @@ class TestNodeForNode:
             got = cover_outcome(min_cover, h, None)
             assert got == cover_outcome(reference_table_min_cover, h, None), (spec, kind)
 
+    def test_incumbent_from_a_popped_child(self):
+        # a child pushed on the stack covers every edge, so popping it
+        # improves the incumbent (greedy 6 -> 4)
+        h = Hypergraph.from_sets(9, [[5], [0, 3, 7], [4, 8], [1, 4], [2, 4], [3, 6], [2, 7],
+                                     [1, 2, 6, 8], [1, 3], [0, 4, 7], [0, 3, 8], [0, 2, 8]])
+        assert greedy_cover(h).size == 6
+        got = cover_outcome(min_cover, h, None)
+        assert got == (4, VertexSet.of(9, [2, 3, 4, 5]).mask, True, 7)
+        assert got == cover_outcome(reference_table_min_cover, h, None)
+        assert got == cover_outcome(reference_min_cover, h, None)
+        assert brute_force_tau(h) == 4
+
     def test_dense_gnp_pinned(self):
         # a seeded G(40, 0.3): the bench's dense ops run out of budget the
         # same way, and nodes_explored counts the node that crossed the cap

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from sepcodes import (
 )
 from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS, satisfies
 
-from conftest import exhaustive_small_formulas, reference_build_gadget
+from conftest import MALFORMED_DIMACS, exhaustive_small_formulas, reference_build_gadget
 
 
 class TestParseDimacs:
@@ -58,6 +59,11 @@ class TestParseDimacs:
     def test_repeated_variable_rejected(self):
         with pytest.raises(DimacsError, match="twice"):
             parse_dimacs("p cnf 1 1\n1 -1 0\n")
+
+    @pytest.mark.parametrize("text, message", MALFORMED_DIMACS)
+    def test_malformed_input_refused(self, text, message):
+        with pytest.raises(DimacsError, match=re.escape(message)):
+            parse_dimacs(text)
 
 
 class TestCnfFormula:
