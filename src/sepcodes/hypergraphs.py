@@ -28,14 +28,14 @@ dead-edge test: the root has no empty edge, the branching edge E has the
 least allowed count c among the live edges, and child i bans only
 i - 1 < c vertices, so each live edge of that child keeps one.
 
-Two shortcuts make a node cheaper without changing which nodes are
-visited.  A branching node at ``best - 2`` chosen vertices has only leaf
-children, each a cover (the first becomes the incumbent) or cut by the
-bound at once, none reading the planes, the bans or the table; the node
-visits them in place, in the order the stack would pop them and counted
-against the budget, instead of pushing each with a copy of the planes.
-The packing bound caches each edge's conflict set (the OR of ``inc[v]``
-over its members) and uses it while none of the edge's members is banned.
+Each node propagates its unit edges first, then meets one cut chain:
+``count + 1`` against the incumbent, the table, the packing bound.  Two
+shortcuts make a node cheaper without changing which nodes are visited.
+A branching node at ``best - 2`` chosen vertices has only leaf children,
+each a cover (the first becomes the incumbent) or cut by the bound; it
+visits them in place, in stack order and counted against the budget,
+and its close marker closes it.  Packing caches each edge's conflict set
+(the OR of ``inc[v]`` over its members) for use while none is banned.
 
 A transposition table (branch-and-bound with caching, Kitching and
 Bacchus, CP 2008) maps the live edges of each finished branching node
@@ -51,9 +51,9 @@ search, are those of the search without the table.  A full table
 
 The search is sequential and fully deterministic: the witness is the
 first optimum reached under this fixed order.  A node budget caps the
-search; exceeding it yields the best cover found so far, flagged
-non-optimal (never silently truncated), with ``nodes_explored`` equal to
-``budget + 1``: the node that crossed the cap is counted.
+search, which runs while ``nodes <= budget``, and ``optimal`` is
+``nodes <= budget``: an exhausted search yields the best cover found so
+far (never silently truncated) with ``nodes_explored`` = ``budget + 1``.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class Hypergraph:
     edges: tuple[int, ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"universe size must be non-negative, got {self.n}")
         object.__setattr__(self, "edges", tuple(self.edges))
         for m in self.edges:
             if m < 0 or m >> self.n:
@@ -220,7 +222,7 @@ def _greedy_mask(inc: list[int], live: int) -> int:
     """Greedy cover mask of the live edges: repeatedly take the vertex
     hitting the most uncovered edges, smallest id on ties."""
     chosen = 0
-    while live:
+    while live:  # every live edge is non-empty, so some vertex hits one
         best_v = -1
         best_hits = 0
         for v, edges in enumerate(inc):
@@ -228,8 +230,6 @@ def _greedy_mask(inc: list[int], live: int) -> int:
             if hits > best_hits:
                 best_hits = hits
                 best_v = v
-        if best_v < 0:  # pragma: no cover - impossible without empty edges
-            raise EmptyHyperedgeError("uncoverable hyperedge")
         chosen |= 1 << best_v
         live &= ~inc[best_v]
     return chosen
@@ -264,12 +264,13 @@ def _bit_slices(counts: list[int]) -> list[int]:
 def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     """Exact minimum cover by branch-and-bound (see module docstring).
 
-    Raises EmptyHyperedgeError if no cover exists.  If the node budget is
-    exhausted, returns the best cover found with ``optimal=False`` and
-    ``nodes_explored == budget + 1`` (the node that crossed the cap).
+    Raises EmptyHyperedgeError if no cover exists, ValueError if budget < 0.
+    ``optimal`` is ``nodes_explored <= budget`` (budget + 1 when exhausted).
     """
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
+    if budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {budget}")
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
     masks = _minimal_masks(h.edges)
@@ -277,7 +278,6 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
     best_size = best_mask.bit_count()
     nodes = 0
-    exhausted = False
     table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
     conf = [0] * len(masks)  # packing conflicts per edge, filled on first use
     # A node is (chosen, count, banned, live, planes): the chosen vertices
@@ -286,7 +286,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     # allowed (unbanned) members.  Popping the last-pushed child first
     # visits nodes in the preorder of the recursive search.
     stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices([m.bit_count() for m in masks]))]
-    while stack:
+    while stack and nodes <= budget:
         chosen, count, banned, live, planes = stack.pop()
         if planes is None:  # close marker: the subtree above it is finished
             if len(table) >= TABLE_LIMIT:
@@ -295,41 +295,26 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
             continue
         nodes += 1
         if nodes > budget:
-            exhausted = True
             break
+        if live and count + 1 < best_size:
+            high = 0
+            for p in planes[1:]:
+                high |= p
+            unit = live & planes[0] & ~high
+            while unit:  # unit propagation: an edge with one allowed vertex forces it
+                bit = masks[(unit & -unit).bit_length() - 1] & ~banned
+                chosen |= bit  # a new vertex: its edge is live
+                count += 1
+                hit = inc[bit.bit_length() - 1]
+                unit &= ~hit
+                live &= ~hit
         if not live:
             if count < best_size:
                 best_size = count
                 best_mask = chosen
             continue
-        if count + 1 >= best_size:
-            continue
-        high = 0
-        for p in planes[1:]:
-            high |= p
-        allowed = ~banned
-        unit = live & planes[0] & ~high
-        if unit:  # unit propagation: an edge with one allowed vertex forces it
-            forced = 0
-            while unit:
-                bit = masks[(unit & -unit).bit_length() - 1] & allowed
-                forced |= bit
-                hit = inc[bit.bit_length() - 1]
-                unit &= ~hit
-                live &= ~hit
-            chosen |= forced
-            count += forced.bit_count()
-            if count >= best_size:
-                continue
-            if not live:
-                best_size = count
-                best_mask = chosen
-                continue
-            if count + 1 >= best_size:
-                continue
-        if count + table.get(live, 0) >= best_size:
-            continue
-        if count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size:
+        if (count + 1 >= best_size or count + table.get(live, 0) >= best_size
+                or count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size):
             continue
         # Branch on the first live edge of minimum allowed count, members
         # ascending; each sibling bans the members already tried.
@@ -337,12 +322,12 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
         for p in reversed(planes):
             if least & ~p:
                 least &= ~p
-        pick = masks[(least & -least).bit_length() - 1] & allowed
+        pick = masks[(least & -least).bit_length() - 1] & ~banned
+        stack.append((0, count, 0, live, None))  # close marker, popped after the children
         if count + 2 == best_size:
             # Every child is a leaf at best_size - 1: the first child that
             # covers becomes the incumbent, every other child is cut by the
-            # bound.  Visit them here, in the order the stack would pop
-            # them, then close this node as its marker would.
+            # bound.  Visit them in stack order; the marker closes this node.
             while pick:
                 low = pick & -pick
                 pick ^= low
@@ -352,14 +337,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 if not live & ~inc[low.bit_length() - 1] and count + 1 < best_size:
                     best_size = count + 1
                     best_mask = chosen | low
-            if nodes > budget:
-                exhausted = True
-                break
-            if len(table) >= TABLE_LIMIT:
-                table.clear()
-            table[live] = best_size - count
             continue
-        stack.append((0, count, 0, live, None))  # close marker, popped after the children
         children = []
         while True:
             low = pick & -pick
@@ -380,7 +358,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 borrow &= ~p
                 j += 1
         stack.extend(reversed(children))
-    return CoverResult(best_size, VertexSet(h.n, best_mask), not exhausted, nodes)
+    return CoverResult(best_size, VertexSet(h.n, best_mask), nodes <= budget, nodes)
 
 
 def precedes(h: Hypergraph, h2: Hypergraph) -> bool:

@@ -69,6 +69,17 @@ class TestSolve:
             assert run_cli("solve", "--family", "path:12", "--kind", "ftd",
                            "--budget", budget)[0] == 1
 
+    def test_non_integer_budget_refused(self, capsys):
+        assert run_cli("solve", "--family", "path:12", "--kind", "ftd",
+                       "--budget", "abc")[0] == 1
+        assert "expected a positive integer, got 'abc'" in capsys.readouterr().err
+
+    def test_graph_file_and_family_refused(self, tmp_path, capsys):
+        path = tmp_path / "p4.edges"
+        path.write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        assert run_cli("solve", str(path), "--family", "path:4", "--kind", "fd")[0] == 1
+        assert "not both" in capsys.readouterr().err
+
     def test_more_usage_errors(self, tmp_path):
         binary = tmp_path / "binary.edges"
         binary.write_bytes(b"\xff\xfe\x00\x81 2\n")

@@ -61,6 +61,12 @@ class TestVertexSet:
         with pytest.raises(UniverseMismatchError):
             VertexSet.of(3, [0]) ^ VertexSet.of(4, [0])
 
+    def test_operand_must_be_a_vertex_set(self):
+        a = VertexSet.of(3, [0])
+        for op in (a.__or__, a.__and__, a.__sub__, a.__xor__, a.issubset):
+            with pytest.raises(TypeError):
+                op(0b1)
+
     def test_constructor_validates(self):
         for n, mask in ((-1, 0), (3, 8), (3, -1)):
             with pytest.raises(ValueError):
@@ -204,6 +210,10 @@ class TestGraphConstruction:
         with pytest.raises(GraphFormatError):
             Graph.from_edges(3, [(1, 1)])
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            Graph.from_edges(-1, [])
+
     def test_out_of_range_edge(self):
         with pytest.raises(GraphFormatError):
             Graph.from_edges(3, [(0, 3)])
@@ -296,6 +306,11 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, [0, 1, 2, 4])
         assert sub.n == 4
         assert set(sub.edges()) == {(0, 1), (1, 2)}
+
+    def test_out_of_range_vertex(self):
+        g = path(3)
+        with pytest.raises(IndexError):
+            induced_subgraph(g, [g.n])
 
     def test_remove_isolated(self):
         g = disjoint_union(path(3), Graph.from_edges(1, []))

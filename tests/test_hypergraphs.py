@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             hg(2, [2])
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Hypergraph(-1, [])
+
     def test_value_semantics(self):
         h = hg(3, [0, 1], [2])
         assert h == Hypergraph(3, [0b011, 0b100])
@@ -171,6 +175,14 @@ class TestMinCover:
         assert not res.optimal
         assert is_cover(h, res.witness)
         assert res.size >= brute_force_tau(h)
+
+    def test_negative_budget_rejected(self):
+        # no search can report budget + 1 nodes for a budget below 0
+        with pytest.raises(ValueError, match="non-negative"):
+            min_cover(hg(2, [0], [1]), budget=-2)
+        g, _ = graph_from_spec_string("path:6")
+        with pytest.raises(ValueError):
+            x_number(g, CodeKind.FTD, budget=-2)
 
     def test_deterministic_witness(self):
         rng = random.Random(8)
@@ -384,16 +396,18 @@ class TestKernelMatchesReference:
 
 
 class TestNodeForNode:
-    """Leaf children expanded in place and cached packing conflicts change
-    no node: size, witness, flag and ``nodes_explored`` all match the table
-    engine, which pushes every child."""
+    """Unit propagation ahead of the single cut chain, leaf children
+    expanded in place and closed by the branching node's marker, and cached
+    packing conflicts change no node: size, witness, flag and
+    ``nodes_explored`` all match the table engine, which pushes every child,
+    at every budget from 0 on."""
 
     @pytest.mark.parametrize("spec, kind", [("cycle:24", CodeKind.FD), ("thick:12", CodeKind.LD)])
     def test_every_budget(self, spec, kind):
         # 599 and 1588 nodes unbounded; some budgets run out inside a run
         # of leaf children, some right after the one that covers
         h = remove_redundant(build_hypergraph(graph_from_spec_string(spec)[0], kind))
-        for budget in range(1, 301):
+        for budget in range(0, 301):
             got = cover_outcome(min_cover, h, budget)
             assert got == cover_outcome(reference_table_min_cover, h, budget), budget
             assert got[2:] == (False, budget + 1)

@@ -257,6 +257,11 @@ class TestCodeFromAssignment:
         with pytest.raises(ValueError):
             code_from_assignment(gg, (True,), CodeKind.ID)
 
+    def test_rejects_wrong_length(self):
+        gg = build_gadget(CnfFormula(1, ((1,),)))
+        with pytest.raises(ValueError, match="assignment length 2 != 1"):
+            code_from_assignment(gg, (True, False), CodeKind.FTD)
+
 
 class TestAssignmentFromCode:
     def test_round_trip_satisfies(self):
