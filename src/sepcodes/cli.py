@@ -13,10 +13,13 @@ Exit codes: 0 success/optimal, 1 usage or parse error, 2 node budget
 exhausted, 3 graph not admissible for the requested kind.  Oversized
 inputs exit 1 too; any other exception is a defect and propagates.
 
-Reports are human-readable by default; ``--json`` switches to a canonical
-JSON rendering (sorted keys, fixed layout) that is byte-stable across
-runs when ``--deterministic`` is given (which zeroes wall-clock fields).
-``--budget`` overrides the default node budget.
+Each command returns a report body (a dict), its human-readable lines
+and an exit code; ``main`` adds ``format_version``, ``command`` and
+``deterministic`` to the body and renders the report once.  Reports are
+human-readable by default; ``--json`` switches to a canonical JSON
+rendering (sorted keys, fixed layout) that is byte-stable across runs
+when ``--deterministic`` is given (which zeroes ``wall_ms``).
+``--budget`` overrides the default node budget where a search runs.
 """
 
 from __future__ import annotations
@@ -102,17 +105,21 @@ def _resolve_budget(args) -> int:
     return args.budget or DEFAULT_NODE_BUDGET
 
 
-def _load_graph(args) -> tuple[Graph, str]:
-    """Graph from --family or from an edge-list file, plus a source tag."""
+def _load_graph(args) -> tuple[Graph, dict, list[str]]:
+    """Graph from --family or from an edge-list file, plus the report's
+    graph record and its ``source:`` line."""
     if args.family and args.graph:
         raise _UsageError("give either a graph file or --family, not both")
     if args.family:
         g, _spec = _parsed(families.graph_from_spec_string, args.family)
-        return g, f"family:{args.family}"
-    if args.graph:
-        text = Path(args.graph).read_text(encoding="utf-8")
-        return parse_edge_list(text), f"file:{args.graph}"
-    raise _UsageError("no graph given: pass an edge-list file or --family SPEC")
+        source = f"family:{args.family}"
+    elif args.graph:
+        g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
+        source = f"file:{args.graph}"
+    else:
+        raise _UsageError("no graph given: pass an edge-list file or --family SPEC")
+    record = {"graph": {"source": source, "vertices": g.n, "edges": g.num_edges}}
+    return g, record, [f"source: {source}"]
 
 
 def _parsed(parse, *args):
@@ -143,25 +150,8 @@ def _command_echo(args) -> str:
     return " ".join(parts)
 
 
-def _report(args, **body) -> dict:
-    report = {
-        "format_version": FORMAT_VERSION,
-        "command": _command_echo(args),
-        "deterministic": args.deterministic,
-    }
-    report.update(body)
-    return report
-
-
 def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(report: dict, args, human_lines: list[str], out) -> None:
-    if args.json:
-        out.write(render_json(report))
-    else:
-        out.write("\n".join(human_lines) + "\n")
 
 
 def _elapsed_ms(args, started: float) -> int:
@@ -183,58 +173,45 @@ def _solve_entry(g: Graph, kind: codes.CodeKind, budget: int, args) -> dict:
     }
 
 
-def _cmd_solve(args, out) -> int:
-    g, source = _load_graph(args)
+def _cmd_solve(args) -> tuple[dict, list[str], int]:
+    g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
-    budget = _resolve_budget(args)
+    body["budget"] = budget = _resolve_budget(args)
     try:
         entry = _solve_entry(g, kind, budget, args)
     except codes.NotAdmissibleError as exc:
-        report = _report(args, budget=budget,
-                         graph={"source": source, "vertices": g.n, "edges": g.num_edges},
-                         error={"type": "not_admissible", "kind": exc.kind.value,
-                                "reason": exc.reason})
-        _emit(report, args, [
-            f"source: {source}",
-            f"kind: {exc.kind.value}",
-            f"not admissible: {exc.reason}",
-        ], out)
-        return EXIT_NOT_ADMISSIBLE
-    report = _report(args, budget=budget,
-                     graph={"source": source, "vertices": g.n, "edges": g.num_edges},
-                     results=[entry])
-    _emit(report, args, [
-        f"source: {source}",
+        body["error"] = {"type": "not_admissible", "kind": exc.kind.value, "reason": exc.reason}
+        lines += [f"kind: {exc.kind.value}", f"not admissible: {exc.reason}"]
+        return body, lines, EXIT_NOT_ADMISSIBLE
+    body["results"] = [entry]
+    lines += [
         f"kind: {entry['kind']}",
         f"size: {entry['size']}",
         "witness: " + " ".join(map(str, entry["witness"])),
         f"optimal: {'yes' if entry['optimal'] else 'no (budget exhausted)'}",
         f"nodes: {entry['nodes']}",
         f"time: {entry['wall_ms']} ms",
-    ], out)
-    return EXIT_OK if entry["optimal"] else EXIT_BUDGET
+    ]
+    return body, lines, EXIT_OK if entry["optimal"] else EXIT_BUDGET
 
 
-def _cmd_verify(args, out) -> int:
-    g, source = _load_graph(args)
+def _cmd_verify(args) -> tuple[dict, list[str], int]:
+    g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     code = _parsed(VertexSet.of, g.n, args.code)
     accepted = codes.verify_code(g, kind, code)
     entry = {"kind": kind.value, "code": code.sorted_ids(), "accepted": accepted}
-    report = _report(args,
-                     graph={"source": source, "vertices": g.n, "edges": g.num_edges},
-                     results=[entry])
-    _emit(report, args, [
-        f"source: {source}",
+    body["results"] = [entry]
+    lines += [
         f"kind: {kind.value}",
         "code: " + " ".join(map(str, entry["code"])),
         f"verdict: {'accept' if accepted else 'reject'}",
-    ], out)
-    return EXIT_OK
+    ]
+    return body, lines, EXIT_OK
 
 
-def _cmd_relations(args, out) -> int:
-    g, source = _load_graph(args)
+def _cmd_relations(args) -> tuple[dict, list[str], int]:
+    g, body, lines = _load_graph(args)
     budget = _resolve_budget(args)
     numbers: dict[codes.CodeKind, dict] = {}
     for kind in codes.CodeKind:
@@ -284,12 +261,8 @@ def _cmd_relations(args, out) -> int:
             bound = max(id_, od, ltd - 1, itd - 1, otd - 1)
             add_check("FD>=max(ID,OD,LTD-1,ITD-1,OTD-1)", fd >= bound, f"{fd} >= {bound}")
 
-    violations = [c["name"] for c in checks if not c["holds"]]
-    report = _report(args, budget=budget,
-                     graph={"source": source, "vertices": g.n, "edges": g.num_edges},
-                     results=[numbers[k] for k in codes.CodeKind],
-                     checks=checks, violations=violations)
-    lines = [f"source: {source}"]
+    body.update(budget=budget, results=[numbers[k] for k in codes.CodeKind], checks=checks,
+                violations=[c["name"] for c in checks if not c["holds"]])
     for kind in codes.CodeKind:
         entry = numbers[kind]
         if not entry.get("admissible"):
@@ -300,22 +273,26 @@ def _cmd_relations(args, out) -> int:
     lines.append(f"checks: {sum(c['holds'] for c in checks)}/{len(checks)} hold")
     for c in checks:
         lines.append(f"  [{'ok' if c['holds'] else 'VIOLATION'}] {c['name']}: {c['detail']}")
-    _emit(report, args, lines, out)
     exhausted = any(
         entry.get("admissible") and not entry.get("optimal") for entry in numbers.values()
     )
-    return EXIT_BUDGET if exhausted else EXIT_OK
+    return body, lines, EXIT_BUDGET if exhausted else EXIT_OK
 
 
 _CHECK_MAX_VARS = 3
 _CHECK_MAX_CLAUSES = 4
 
 
-def _cmd_reduce(args, out) -> int:
+def _cmd_reduce(args) -> tuple[dict, list[str], int]:
     text = Path(args.cnf).read_text(encoding="utf-8")
     formula = sat_reduction.parse_dimacs(text)
     gg = sat_reduction.build_gadget(formula)
     n, m = formula.num_vars, formula.num_clauses
+    if args.check and (n > _CHECK_MAX_VARS or m > _CHECK_MAX_CLAUSES):
+        raise _UsageError(
+            f"--check is capped at {_CHECK_MAX_VARS} variables and "
+            f"{_CHECK_MAX_CLAUSES} clauses (got {n}, {m})"
+        )
     body: dict = {
         "cnf": {"source": f"file:{args.cnf}", "variables": n, "clauses": m},
         "gadget": {"vertices": gg.graph.n, "edges": gg.graph.num_edges},
@@ -341,106 +318,89 @@ def _cmd_reduce(args, out) -> int:
         lines.extend("  " + row for row in body["edge_list"])
         lines.append("labels:")
         lines.extend(f"  {name} -> {vid}" for name, vid in labels.items())
+    if not args.check:
+        return body, lines, EXIT_OK
 
-    exit_code = EXIT_OK
-    if args.check:
-        if n > _CHECK_MAX_VARS or m > _CHECK_MAX_CLAUSES:
-            raise _UsageError(
-                f"--check is capped at {_CHECK_MAX_VARS} variables and "
-                f"{_CHECK_MAX_CLAUSES} clauses (got {n}, {m})"
-            )
-        budget = _resolve_budget(args)
-        assignment = sat_reduction.brute_force_sat(formula)
-        sat = assignment is not None
-        ftd = codes.x_number(gg.graph, codes.CodeKind.FTD, budget)
-        fd = codes.x_number(gg.graph, codes.CodeKind.FD, budget)
-        target_ftd, target_fd = 7 * n + 2 * m, 7 * n + 2 * m - 1
-        checks = [
-            {"name": "sat<=>FTD==7n+2m", "holds": sat == (ftd.size == target_ftd),
-             "detail": f"sat={sat}, FTD={ftd.size}, target={target_ftd}"},
-            {"name": "sat<=>FD==7n+2m-1", "holds": sat == (fd.size == target_fd),
-             "detail": f"sat={sat}, FD={fd.size}, target={target_fd}"},
-        ]
-        if not sat:
-            checks.append({"name": "unsat=>both-strictly-larger",
-                           "holds": ftd.size > target_ftd and fd.size > target_fd,
-                           "detail": f"FTD={ftd.size}>{target_ftd}, FD={fd.size}>{target_fd}"})
-        else:
-            for kind, res, target in ((codes.CodeKind.FTD, ftd, target_ftd),
-                                      (codes.CodeKind.FD, fd, target_fd)):
-                built = sat_reduction.code_from_assignment(gg, assignment, kind)
-                checks.append({"name": f"assignment-code-verifies-{kind.value}",
-                               "holds": len(built) == target
-                               and codes.verify_code(gg.graph, kind, built),
-                               "detail": f"|code|={len(built)}"})
-            decoded = sat_reduction.assignment_from_code(
-                gg, sat_reduction.code_from_assignment(gg, assignment, codes.CodeKind.FTD))
-            checks.append({"name": "code-decodes-to-satisfying-assignment",
-                           "holds": decoded is not None
-                           and sat_reduction.satisfies(formula, decoded),
-                           "detail": f"decoded={decoded}"})
-        body["check"] = {
-            "satisfiable": sat,
-            "ftd": {"size": ftd.size, "optimal": ftd.optimal, "nodes": ftd.nodes_explored},
-            "fd": {"size": fd.size, "optimal": fd.optimal, "nodes": fd.nodes_explored},
-            "checks": checks,
-        }
-        lines.append(f"satisfiable: {'yes' if sat else 'no'}")
-        lines.append(f"FTD number: {ftd.size} (target {target_ftd})")
-        lines.append(f"FD number: {fd.size} (target {target_fd})")
-        for c in checks:
-            lines.append(f"  [{'ok' if c['holds'] else 'FAIL'}] {c['name']}: {c['detail']}")
-        if not (ftd.optimal and fd.optimal):
-            exit_code = EXIT_BUDGET
-
-    report = _report(args, **body)
-    _emit(report, args, lines, out)
-    return exit_code
+    budget = _resolve_budget(args)
+    assignment = sat_reduction.brute_force_sat(formula)
+    sat = assignment is not None
+    ftd = codes.x_number(gg.graph, codes.CodeKind.FTD, budget)
+    fd = codes.x_number(gg.graph, codes.CodeKind.FD, budget)
+    target_ftd, target_fd = 7 * n + 2 * m, 7 * n + 2 * m - 1
+    checks = [
+        {"name": "sat<=>FTD==7n+2m", "holds": sat == (ftd.size == target_ftd),
+         "detail": f"sat={sat}, FTD={ftd.size}, target={target_ftd}"},
+        {"name": "sat<=>FD==7n+2m-1", "holds": sat == (fd.size == target_fd),
+         "detail": f"sat={sat}, FD={fd.size}, target={target_fd}"},
+    ]
+    if not sat:
+        checks.append({"name": "unsat=>both-strictly-larger",
+                       "holds": ftd.size > target_ftd and fd.size > target_fd,
+                       "detail": f"FTD={ftd.size}>{target_ftd}, FD={fd.size}>{target_fd}"})
+    else:
+        built = {}
+        for kind, target in ((codes.CodeKind.FTD, target_ftd), (codes.CodeKind.FD, target_fd)):
+            code = built[kind] = sat_reduction.code_from_assignment(gg, assignment, kind)
+            checks.append({"name": f"assignment-code-verifies-{kind.value}",
+                           "holds": len(code) == target
+                           and codes.verify_code(gg.graph, kind, code),
+                           "detail": f"|code|={len(code)}"})
+        decoded = sat_reduction.assignment_from_code(gg, built[codes.CodeKind.FTD])
+        checks.append({"name": "code-decodes-to-satisfying-assignment",
+                       "holds": decoded is not None
+                       and sat_reduction.satisfies(formula, decoded),
+                       "detail": f"decoded={decoded}"})
+    body["check"] = {
+        "satisfiable": sat,
+        "ftd": {"size": ftd.size, "optimal": ftd.optimal, "nodes": ftd.nodes_explored},
+        "fd": {"size": fd.size, "optimal": fd.optimal, "nodes": fd.nodes_explored},
+        "checks": checks,
+    }
+    lines.append(f"satisfiable: {'yes' if sat else 'no'}")
+    lines.append(f"FTD number: {ftd.size} (target {target_ftd})")
+    lines.append(f"FD number: {fd.size} (target {target_fd})")
+    for c in checks:
+        lines.append(f"  [{'ok' if c['holds'] else 'FAIL'}] {c['name']}: {c['detail']}")
+    return body, lines, EXIT_OK if ftd.optimal and fd.optimal else EXIT_BUDGET
 
 
-def _cmd_hypergraph(args, out) -> int:
-    g, source = _load_graph(args)
+def _cmd_hypergraph(args) -> tuple[dict, list[str], int]:
+    g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     h = codes.build_hypergraph(g, kind)
     reduced = remove_redundant(h)
     empty = h.has_empty_edge()
     rows, reduced_rows = h.dump_lines(), reduced.dump_lines()
-    report = _report(args,
-                     graph={"source": source, "vertices": g.n, "edges": g.num_edges},
-                     kind=kind.value,
-                     hypergraph={"edges": rows, "count": len(h.edges)},
-                     reduced={"edges": reduced_rows, "count": len(reduced.edges)},
-                     empty_hyperedge=empty)
-    lines = [f"source: {source}", f"kind: {kind.value}"]
+    body.update(kind=kind.value,
+                hypergraph={"edges": rows, "count": len(h.edges)},
+                reduced={"edges": reduced_rows, "count": len(reduced.edges)},
+                empty_hyperedge=empty)
+    lines.append(f"kind: {kind.value}")
     if empty:
         lines.append("warning: hypergraph contains an empty hyperedge (no code exists)")
     lines.append(f"hyperedges ({len(h.edges)}):")
     lines.extend("  " + row for row in rows)
     lines.append(f"reduced hyperedges ({len(reduced.edges)}):")
     lines.extend("  " + row for row in reduced_rows)
-    _emit(report, args, lines, out)
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
-def _cmd_family(args, out) -> int:
+def _cmd_family(args) -> tuple[dict, list[str], int]:
     g, spec = _parsed(families.graph_from_spec_string, args.spec)
     formulas: dict[str, int | None] = {}
     if spec is not None:
         for kind in codes.CodeKind:
             formulas[kind.value] = families.formula_x_number(spec, kind)
     rows = format_edge_list(g).splitlines()
-    report = _report(args, spec=args.spec,
-                     graph={"vertices": g.n, "edges": g.num_edges},
-                     edge_list=rows,
-                     known_numbers=formulas)
+    body = {"spec": args.spec, "graph": {"vertices": g.n, "edges": g.num_edges},
+            "edge_list": rows, "known_numbers": formulas}
     lines = [f"spec: {args.spec}", "edge list:"]
     lines.extend("  " + row for row in rows)
     if formulas:
         lines.append("known X-numbers:")
         for name, value in formulas.items():
             lines.append(f"  {name}: {value if value is not None else '-'}")
-    _emit(report, args, lines, out)
-    return EXIT_OK
+    return body, lines, EXIT_OK
 
 
 _COMMANDS = {
@@ -462,7 +422,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, sys.stdout)
+        body, lines, exit_code = _COMMANDS[args.command](args)
+        if args.json:
+            sys.stdout.write(render_json({"format_version": FORMAT_VERSION,
+                                          "command": _command_echo(args),
+                                          "deterministic": args.deterministic, **body}))
+        else:
+            sys.stdout.write("\n".join(lines) + "\n")
+        return exit_code
     except codes.NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .codes import CodeKind
-from .graphs import Graph, VertexSet, check_vertex_count
+from .graphs import Graph, VertexSet, check_edge_count, check_vertex_count
 
 
 class Family(enum.Enum):
@@ -65,8 +65,16 @@ class FamilySpec:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph of a family spec under its canonical labeling."""
+    """Build the graph of a family spec under its canonical labeling.
+
+    Raises GraphFormatError, before listing any edge, when the graph
+    would have more than :data:`~sepcodes.graphs.MAX_EDGES` edges.
+    """
     f, p = spec.family, spec.size
+    check_edge_count({Family.PATH: p - 1, Family.CYCLE: p,
+                      Family.HALF_GRAPH: p * (p + 1) // 2,
+                      Family.THIN_SPIDER: p * (p - 1) // 2 + p,
+                      Family.THICK_SPIDER: 3 * p * (p - 1) // 2}[f])
     if f is Family.PATH:
         return Graph.from_edges(p, [(i, i + 1) for i in range(p - 1)])
     if f is Family.CYCLE:

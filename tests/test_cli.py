@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -134,6 +135,17 @@ class TestSolve:
                      ("verify", str(wide), "--kind", "fd", "--code", "0")):
             assert run_cli(*argv)[0] == 1
             assert "vertex count 20001 exceeds the limit of 20000" in capsys.readouterr().err
+
+    def test_edge_limit_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("sepcodes.graphs.MAX_EDGES", 20)
+        dense = tmp_path / "dense.edges"
+        dense.write_text("10 30\n", encoding="utf-8")
+        for argv in (("family", "thick:5"),
+                     ("family", "thick:5+k1"),
+                     ("solve", "--family", "thick:5", "--kind", "ld"),
+                     ("solve", str(dense), "--kind", "fd")):
+            assert run_cli(*argv)[0] == 1, argv
+            assert "edge count 30 exceeds the limit of 20" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -275,6 +287,13 @@ class TestReduce:
         cnf.write_text("p cnf 4 1\n1 2 3 4 0\n", encoding="utf-8")
         assert run_cli("reduce", str(cnf))[0] == 1
 
+    def test_check_cap_writes_nothing(self, tmp_path, capsys):
+        cnf = tmp_path / "big.cnf"
+        cnf.write_text("p cnf 5 2\n1 2 3 0\n-3 4 5 0\n", encoding="utf-8")
+        assert run_cli("reduce", str(cnf), "-o", str(tmp_path / "out"), "--check")[0] == 1
+        assert "--check is capped at 3 variables" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["big.cnf"]
+
 
 class TestHypergraphDump:
     def test_half4_fd_reduced_shows_singletons(self):
@@ -348,3 +367,13 @@ class TestReportStability:
         _, report = run_json("solve", "--family", "path:8", "--kind", "fd",
                              "--deterministic")
         assert report["results"][0]["wall_ms"] == 0
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_failing_write_exits_1(self, flags, capsys, monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["family", "path:3", *flags]) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

@@ -18,7 +18,7 @@ from sepcodes import (
     x_number,
 )
 from sepcodes.families import graph_from_spec_string, parse_family_spec
-from sepcodes.graphs import MAX_VERTICES, GraphFormatError
+from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, GraphFormatError
 
 from conftest import graphs_isomorphic
 
@@ -69,6 +69,24 @@ class TestGenerate:
                              (Family.HALF_GRAPH, MAX_VERTICES // 2 + 1)):
             with pytest.raises(GraphFormatError, match="exceeds the limit"):
                 spec(family, size)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_edge_count_limit_is_exact(self, family, monkeypatch):
+        # generate() refuses from its closed-form edge count, before listing edges.
+        m = generate(spec(family, 7)).num_edges
+        monkeypatch.setattr("sepcodes.graphs.MAX_EDGES", m)
+        assert generate(spec(family, 7)).num_edges == m
+        monkeypatch.setattr("sepcodes.graphs.MAX_EDGES", m - 1)
+        with pytest.raises(GraphFormatError, match=f"edge count {m} exceeds the limit of {m - 1}"):
+            generate(spec(family, 7))
+
+    def test_dense_specs_refused(self):
+        # Just past MAX_EDGES, so a missing check allocates ~1e6 edges, not 1.5e8.
+        for text, m in (("half:1414", 1_000_405), ("thin:1414+k1", 1_000_405),
+                        ("thick:818", 1_002_459)):
+            with pytest.raises(GraphFormatError,
+                               match=f"edge count {m} exceeds the limit of {MAX_EDGES}"):
+                graph_from_spec_string(text)
 
 
 class TestFormulas:

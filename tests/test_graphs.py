@@ -18,7 +18,7 @@ from sepcodes import (
     parse_edge_list,
     random_gnp,
 )
-from sepcodes.graphs import MAX_VERTICES
+from sepcodes.graphs import MAX_EDGES, MAX_VERTICES
 
 from conftest import (
     MALFORMED_EDGE_LISTS,
@@ -342,6 +342,16 @@ class TestEdgeListFormat:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("3 1\n1 1\n")
+
+    def test_edge_count_limit(self, monkeypatch):
+        # refused from the header, before any edge line is read
+        with pytest.raises(GraphFormatError,
+                           match=f"edge count {MAX_EDGES + 1} exceeds the limit of {MAX_EDGES}"):
+            parse_edge_list(f"5 {MAX_EDGES + 1}\n0 1\n")
+        monkeypatch.setattr("sepcodes.graphs.MAX_EDGES", 2)
+        assert parse_edge_list("3 2\n0 1\n1 2\n") == path(3)
+        with pytest.raises(GraphFormatError, match="edge count 3 exceeds the limit of 2"):
+            parse_edge_list("3 3\n0 1\n1 2\n0 2\n")
 
     @pytest.mark.parametrize("text, message", MALFORMED_EDGE_LISTS)
     def test_malformed_lines_refused(self, text, message):
