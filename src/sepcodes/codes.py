@@ -229,21 +229,22 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """Check c against the definition of a kind-code, trace by trace.
 
     Domination asks every closed row (total domination: every open row)
-    to meet c.  Locating asks the open traces of the vertices outside c to
-    be pairwise distinct.  This path never touches the hypergraph
-    encoding, so it serves as an independent oracle for the cover route.
+    to meet c.  Separation reads the kind's pair families: the closed
+    traces N[v] & C must be distinct when adjacent pairs use closed
+    differences, and the open traces N(v) & C when non-adjacent pairs use
+    open differences.  When neither holds (locating), the open traces of
+    the vertices outside c must be distinct.  This path never touches the
+    hypergraph encoding, so it serves as an independent oracle for the
+    cover route.
     """
     cm = _code_mask(g, c)
-    closed = FAMILIES[kind].domination is Nbhd.CLOSED
-    if not all(row & cm for row in (g.closed_rows if closed else g.rows)):
+    fam = FAMILIES[kind]
+    if not all(row & cm for row in (g.closed_rows if fam.domination is _C else g.rows)):
         return False
-    if kind in (CodeKind.ID, CodeKind.ITD):
-        return _separates(g.closed_rows, cm)
-    if kind in (CodeKind.OD, CodeKind.OTD):
-        return _separates(g.rows, cm)
-    if kind in (CodeKind.LD, CodeKind.LTD):
+    closed, open_ = fam.adjacent_pairs is _C, fam.nonadjacent_pairs is _O
+    if not (closed or open_):
         return _separates([row for v, row in enumerate(g.rows) if not cm >> v & 1], cm)
-    return _separates(g.closed_rows, cm) and _separates(g.rows, cm)
+    return (not closed or _separates(g.closed_rows, cm)) and (not open_ or _separates(g.rows, cm))
 
 
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:

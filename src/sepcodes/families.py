@@ -1,10 +1,12 @@
 """Generators for the benchmark graph families and their known X-numbers.
 
 Families: paths, cycles, half-graphs, and thin/thick headless spiders.
-For parameter ranges where an exact X-number is known in closed form,
-:func:`formula_x_number` returns it; outside those ranges it returns None
-rather than extrapolating.  The explicit total-dominating full-separating
-code for paths and cycles is produced by :func:`ftd_code_path_cycle`.
+Two tables state every family fact once: ``_SHAPES`` holds each family's
+least parameter, vertex count, closed-form edge count and edge list, and
+``_X_NUMBERS`` maps (family, kind) to the least parameter and closed form
+of a known X-number.  Below that parameter, or with no entry,
+:func:`formula_x_number` returns None rather than extrapolating.  The
+explicit FTD-code of paths and cycles is :func:`ftd_code_path_cycle`.
 
 Canonical labelings
 -------------------
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .codes import CodeKind
 from .graphs import Graph, VertexSet, check_edge_count, check_vertex_count
@@ -34,12 +37,56 @@ class Family(enum.Enum):
     THICK_SPIDER = "thick"
 
 
-_MIN_SIZE = {
-    Family.PATH: 1,
-    Family.CYCLE: 3,
-    Family.HALF_GRAPH: 1,
-    Family.THIN_SPIDER: 2,
-    Family.THICK_SPIDER: 2,
+def _spider_edges(k: int, wires: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]  # clique
+    edges.extend(wires)
+    return edges
+
+
+# family -> (least parameter, vertex count, edge count, edge list); the
+# last three are functions of the parameter (n for path/cycle, else k).
+_SHAPES = {
+    Family.PATH: (1, lambda n: n, lambda n: n - 1,
+                  lambda n: [(i, i + 1) for i in range(n - 1)]),
+    Family.CYCLE: (3, lambda n: n, lambda n: n,
+                   lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    Family.HALF_GRAPH: (1, lambda k: 2 * k, lambda k: k * (k + 1) // 2,
+                        lambda k: [(i, k + j) for i in range(k) for j in range(i, k)]),
+    Family.THIN_SPIDER: (2, lambda k: 2 * k, lambda k: k * (k - 1) // 2 + k,
+                         lambda k: _spider_edges(k, ((i, k + i) for i in range(k)))),
+    Family.THICK_SPIDER: (2, lambda k: 2 * k, lambda k: 3 * k * (k - 1) // 2,
+                          lambda k: _spider_edges(k, ((i, k + j) for i in range(k)
+                                                      for j in range(k) if i != j))),
+}
+
+
+def _path_cycle(n: int) -> int:
+    return 4 * (n // 6) + min(n % 6, 4)
+
+
+# One row per (family, kinds, least parameter, closed form).
+_X_NUMBERS: dict[tuple[Family, CodeKind], tuple[int, Callable[[int], int]]] = {
+    (family, kind): (least, form)
+    for family, kinds, least, form in (
+        (Family.PATH, (CodeKind.FD, CodeKind.FTD, CodeKind.OTD), 4, _path_cycle),
+        (Family.CYCLE, (CodeKind.FD, CodeKind.FTD), 5, _path_cycle),
+        (Family.CYCLE, (CodeKind.OTD,), 5, lambda n: 4 * (n // 6) + (0, 1, 2, 2, 4, 4)[n % 6]),
+        (Family.HALF_GRAPH, (CodeKind.FD,), 3, lambda k: 2 * k - 1),
+        (Family.HALF_GRAPH, (CodeKind.FTD,), 2, lambda k: 2 * k),
+        (Family.HALF_GRAPH, (CodeKind.OTD,), 1, lambda k: 2 * k),
+        (Family.THIN_SPIDER, (CodeKind.FD,), 4, lambda k: 2 * k - 2),
+        (Family.THIN_SPIDER, (CodeKind.FTD,), 4, lambda k: 2 * k - 1),
+        (Family.THIN_SPIDER, (CodeKind.LD, CodeKind.LTD, CodeKind.OD, CodeKind.OTD), 3, lambda k: k),
+        (Family.THIN_SPIDER, (CodeKind.ID,), 3, lambda k: k + 1),
+        (Family.THIN_SPIDER, (CodeKind.ITD,), 3, lambda k: 2 * k - 1),
+        (Family.THICK_SPIDER, (CodeKind.FD, CodeKind.FTD), 4, lambda k: 2 * k - 2),
+        (Family.THICK_SPIDER, (CodeKind.ITD,), 4, lambda k: k + 1),
+        # k-1 fails exhaustive verification below k=5 (both values are k there)
+        (Family.THICK_SPIDER, (CodeKind.LD, CodeKind.LTD), 5, lambda k: k - 1),
+        (Family.THICK_SPIDER, (CodeKind.OD, CodeKind.OTD), 3, lambda k: k + 1),
+        (Family.THICK_SPIDER, (CodeKind.ID,), 3, lambda k: k),
+    )
+    for kind in kinds
 }
 
 
@@ -51,14 +98,12 @@ class FamilySpec:
     size: int
 
     def __post_init__(self):
-        if self.size < _MIN_SIZE[self.family]:
-            raise ValueError(
-                f"{self.family.value} requires parameter >= {_MIN_SIZE[self.family]},"
-                f" got {self.size}"
-            )
+        least, vertices, _, _ = _SHAPES[self.family]
+        if self.size < least:
+            raise ValueError(f"{self.family.value} requires parameter >= {least},"
+                             f" got {self.size}")
         # Refused here, before generate() lists the edges.
-        check_vertex_count(self.size if self.family in (Family.PATH, Family.CYCLE)
-                           else 2 * self.size)
+        check_vertex_count(vertices(self.size))
 
     def __str__(self) -> str:
         return f"{self.family.value}:{self.size}"
@@ -70,38 +115,9 @@ def generate(spec: FamilySpec) -> Graph:
     Raises GraphFormatError, before listing any edge, when the graph
     would have more than :data:`~sepcodes.graphs.MAX_EDGES` edges.
     """
-    f, p = spec.family, spec.size
-    check_edge_count({Family.PATH: p - 1, Family.CYCLE: p,
-                      Family.HALF_GRAPH: p * (p + 1) // 2,
-                      Family.THIN_SPIDER: p * (p - 1) // 2 + p,
-                      Family.THICK_SPIDER: 3 * p * (p - 1) // 2}[f])
-    if f is Family.PATH:
-        return Graph.from_edges(p, [(i, i + 1) for i in range(p - 1)])
-    if f is Family.CYCLE:
-        edges = [(i, i + 1) for i in range(p - 1)]
-        edges.append((p - 1, 0))
-        return Graph.from_edges(p, edges)
-    if f is Family.HALF_GRAPH:
-        k = p
-        edges = [(i - 1, k + j - 1) for i in range(1, k + 1) for j in range(i, k + 1)]
-        return Graph.from_edges(2 * k, edges)
-    k = p
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]  # clique
-    if f is Family.THIN_SPIDER:
-        edges.extend((i - 1, k + i - 1) for i in range(1, k + 1))
-    else:
-        edges.extend(
-            (i - 1, k + j - 1)
-            for i in range(1, k + 1)
-            for j in range(1, k + 1)
-            if i != j
-        )
-    return Graph.from_edges(2 * k, edges)
-
-
-def _path_cycle_base(n: int) -> int:
-    q, r = divmod(n, 6)
-    return 4 * q + (r if r <= 4 else 4)
+    _, vertices, edge_count, edges = _SHAPES[spec.family]
+    check_edge_count(edge_count(spec.size))
+    return Graph.from_edges(vertices(spec.size), edges(spec.size))
 
 
 def formula_x_number(spec: FamilySpec, kind: CodeKind) -> int | None:
@@ -110,56 +126,10 @@ def formula_x_number(spec: FamilySpec, kind: CodeKind) -> int | None:
     Absence is a value, not an error: the known results carry explicit
     parameter-range hypotheses and are not extrapolated below them.
     """
-    f, p = spec.family, spec.size
-    if f in (Family.PATH, Family.CYCLE):
-        n = p
-        if (f is Family.PATH and n < 4) or (f is Family.CYCLE and n < 5):
-            return None
-        if kind in (CodeKind.FD, CodeKind.FTD):
-            return _path_cycle_base(n)
-        if kind is CodeKind.OTD:
-            if f is Family.PATH:
-                return _path_cycle_base(n)
-            q, r = divmod(n, 6)
-            if r in (0, 1, 2, 4):
-                return 4 * q + r
-            return 4 * q + (2 if r == 3 else 4)
+    entry = _X_NUMBERS.get((spec.family, kind))
+    if entry is None or spec.size < entry[0]:
         return None
-    if f is Family.HALF_GRAPH:
-        k = p
-        if kind is CodeKind.FD:
-            return 2 * k - 1 if k >= 3 else None
-        if kind is CodeKind.FTD:
-            return 2 * k if k >= 2 else None
-        if kind is CodeKind.OTD:
-            return 2 * k
-        return None
-    k = p
-    if f is Family.THIN_SPIDER:
-        if kind is CodeKind.FD:
-            return 2 * k - 2 if k >= 4 else None
-        if kind is CodeKind.FTD:
-            return 2 * k - 1 if k >= 4 else None
-        if k < 3:
-            return None
-        if kind in (CodeKind.LD, CodeKind.LTD, CodeKind.OD, CodeKind.OTD):
-            return k
-        if kind is CodeKind.ID:
-            return k + 1
-        return 2 * k - 1  # ITD
-    # thick spider
-    if kind in (CodeKind.FD, CodeKind.FTD):
-        return 2 * k - 2 if k >= 4 else None
-    if kind is CodeKind.ITD:
-        return k + 1 if k >= 4 else None
-    if kind in (CodeKind.LD, CodeKind.LTD):
-        # k-1 fails exhaustive verification below k=5 (both values are k there)
-        return k - 1 if k >= 5 else None
-    if k < 3:
-        return None
-    if kind in (CodeKind.OD, CodeKind.OTD):
-        return k + 1
-    return k  # ID
+    return entry[1](spec.size)
 
 
 def ftd_code_path_cycle(n: int, cyclic: bool) -> VertexSet:
@@ -171,20 +141,14 @@ def ftd_code_path_cycle(n: int, cyclic: bool) -> VertexSet:
     With no full block (n in 4..5) the code is v_1..v_4.  The result has
     exactly the known minimum cardinality.
     """
-    if n < (5 if cyclic else 4):
-        kind = "cycle" if cyclic else "path"
-        raise ValueError(f"{kind} FTD pattern needs n >= {5 if cyclic else 4}, got {n}")
+    family = Family.CYCLE if cyclic else Family.PATH
+    least = _X_NUMBERS[family, CodeKind.FTD][0]
+    if n < least:
+        raise ValueError(f"{family.value} FTD pattern needs n >= {least}, got {n}")
     q, r = divmod(n, 6)
-    picks: list[int] = []
-    if q == 0:
-        picks.extend(range(1, 5))
-    else:
-        for k in range(1, q + 1):
-            picks.extend(range(6 * k - 4, 6 * k))
-        if 1 <= r <= 4:
-            picks.extend(range(6 * q, 6 * q + r))
-        elif r == 5:
-            picks.extend(range(6 * q + 1, 6 * q + 5))
+    picks = [v for b in range(1, q + 1) for v in range(6 * b - 4, 6 * b)]
+    # With no full block the code is v_1..v_4, the r = 5 shift at q = 0.
+    picks.extend(range(6 * q + 1, 6 * q + 5) if r == 5 or q == 0 else range(6 * q, 6 * q + r))
     return VertexSet.of(n, (v - 1 for v in picks))
 
 
@@ -196,10 +160,16 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
-    """Uniform G(n, p) sample, for randomized property tests."""
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
+    """Uniform G(n, p) sample, for randomized property tests.
+
+    Raises GraphFormatError above MAX_VERTICES before any draw, and as soon
+    as the edges drawn exceed MAX_EDGES.
+    """
+    check_vertex_count(n)
+    edges: list[tuple[int, int]] = []
+    for u in range(n):
+        edges += [(u, v) for v in range(u + 1, n) if rng.random() < p]
+        check_edge_count(len(edges))
     return Graph.from_edges(n, edges)
 
 

@@ -19,6 +19,8 @@ from sepcodes import (
     CodeKind,
     CoverResult,
     EmptyHyperedgeError,
+    Family,
+    FamilySpec,
     Graph,
     Hypergraph,
     VertexSet,
@@ -26,7 +28,7 @@ from sepcodes import (
 )
 from sepcodes import hypergraphs
 from sepcodes.codes import FAMILIES, Nbhd
-from sepcodes.graphs import check_vertex_count
+from sepcodes.graphs import check_edge_count, check_vertex_count
 from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
 from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS
 
@@ -648,6 +650,126 @@ def reference_build_gadget(formula: CnfFormula) -> tuple[Graph, dict[str, int]]:
             w = labels[f"{'w1' if lit > 0 else 'w2'}^x{abs(lit)}"]
             edges.append((u1, w))
     return Graph.from_edges(10 * n + 3 * m, edges), labels
+
+
+# Frozen copies of the branching family code that the shape and X-number
+# tables of sepcodes.families replaced; they are the oracles for the tables.
+_REFERENCE_MIN_SIZE = {
+    Family.PATH: 1,
+    Family.CYCLE: 3,
+    Family.HALF_GRAPH: 1,
+    Family.THIN_SPIDER: 2,
+    Family.THICK_SPIDER: 2,
+}
+
+
+def reference_family_check(family: Family, size: int) -> None:
+    """The parameter and vertex-count checks of FamilySpec, as branches."""
+    if size < _REFERENCE_MIN_SIZE[family]:
+        raise ValueError(
+            f"{family.value} requires parameter >= {_REFERENCE_MIN_SIZE[family]},"
+            f" got {size}"
+        )
+    check_vertex_count(size if family in (Family.PATH, Family.CYCLE)
+                       else 2 * size)
+
+
+def reference_generate(spec: FamilySpec) -> Graph:
+    """The family graph built by one branch per family."""
+    f, p = spec.family, spec.size
+    check_edge_count({Family.PATH: p - 1, Family.CYCLE: p,
+                      Family.HALF_GRAPH: p * (p + 1) // 2,
+                      Family.THIN_SPIDER: p * (p - 1) // 2 + p,
+                      Family.THICK_SPIDER: 3 * p * (p - 1) // 2}[f])
+    if f is Family.PATH:
+        return Graph.from_edges(p, [(i, i + 1) for i in range(p - 1)])
+    if f is Family.CYCLE:
+        edges = [(i, i + 1) for i in range(p - 1)]
+        edges.append((p - 1, 0))
+        return Graph.from_edges(p, edges)
+    if f is Family.HALF_GRAPH:
+        k = p
+        edges = [(i - 1, k + j - 1) for i in range(1, k + 1) for j in range(i, k + 1)]
+        return Graph.from_edges(2 * k, edges)
+    k = p
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]  # clique
+    if f is Family.THIN_SPIDER:
+        edges.extend((i - 1, k + i - 1) for i in range(1, k + 1))
+    else:
+        edges.extend(
+            (i - 1, k + j - 1)
+            for i in range(1, k + 1)
+            for j in range(1, k + 1)
+            if i != j
+        )
+    return Graph.from_edges(2 * k, edges)
+
+
+def _reference_path_cycle_base(n: int) -> int:
+    q, r = divmod(n, 6)
+    return 4 * q + (r if r <= 4 else 4)
+
+
+def reference_formula_x_number(spec: FamilySpec, kind: CodeKind) -> int | None:
+    """The known closed-form X-numbers, one branch per family and kind."""
+    f, p = spec.family, spec.size
+    if f in (Family.PATH, Family.CYCLE):
+        n = p
+        if (f is Family.PATH and n < 4) or (f is Family.CYCLE and n < 5):
+            return None
+        if kind in (CodeKind.FD, CodeKind.FTD):
+            return _reference_path_cycle_base(n)
+        if kind is CodeKind.OTD:
+            if f is Family.PATH:
+                return _reference_path_cycle_base(n)
+            q, r = divmod(n, 6)
+            if r in (0, 1, 2, 4):
+                return 4 * q + r
+            return 4 * q + (2 if r == 3 else 4)
+        return None
+    if f is Family.HALF_GRAPH:
+        k = p
+        if kind is CodeKind.FD:
+            return 2 * k - 1 if k >= 3 else None
+        if kind is CodeKind.FTD:
+            return 2 * k if k >= 2 else None
+        if kind is CodeKind.OTD:
+            return 2 * k
+        return None
+    k = p
+    if f is Family.THIN_SPIDER:
+        if kind is CodeKind.FD:
+            return 2 * k - 2 if k >= 4 else None
+        if kind is CodeKind.FTD:
+            return 2 * k - 1 if k >= 4 else None
+        if k < 3:
+            return None
+        if kind in (CodeKind.LD, CodeKind.LTD, CodeKind.OD, CodeKind.OTD):
+            return k
+        if kind is CodeKind.ID:
+            return k + 1
+        return 2 * k - 1  # ITD
+    # thick spider
+    if kind in (CodeKind.FD, CodeKind.FTD):
+        return 2 * k - 2 if k >= 4 else None
+    if kind is CodeKind.ITD:
+        return k + 1 if k >= 4 else None
+    if kind in (CodeKind.LD, CodeKind.LTD):
+        # k-1 fails exhaustive verification below k=5 (both values are k there)
+        return k - 1 if k >= 5 else None
+    if k < 3:
+        return None
+    if kind in (CodeKind.OD, CodeKind.OTD):
+        return k + 1
+    return k  # ID
+
+
+def reference_random_gnp(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p) drawn by one comprehension with no size checks."""
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ]
+    return Graph.from_edges(n, edges)
 
 
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:

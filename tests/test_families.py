@@ -20,7 +20,13 @@ from sepcodes import (
 from sepcodes.families import graph_from_spec_string, parse_family_spec
 from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, GraphFormatError
 
-from conftest import graphs_isomorphic
+from conftest import (
+    graphs_isomorphic,
+    reference_family_check,
+    reference_formula_x_number,
+    reference_generate,
+    reference_random_gnp,
+)
 
 
 def spec(family, size):
@@ -153,6 +159,27 @@ class TestFormulas:
                         assert x_number(g, kind).size == expect, (family, k, kind)
 
 
+class TestTablesMatchBranchingReference:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_checks_rows_and_closed_forms(self, family):
+        # Every parameter from 0 (below each family's least) to 80, plus
+        # the first sizes past the vertex limit: the same refusal, the same
+        # rows up to 40 and the same closed form (None included) per kind.
+        for p in [*range(81), MAX_VERTICES // 2 + 1, MAX_VERTICES + 1]:
+            try:
+                reference_family_check(family, p)
+            except ValueError as expected:
+                with pytest.raises(type(expected)) as got:
+                    FamilySpec(family, p)
+                assert str(got.value) == str(expected)
+                continue
+            s = FamilySpec(family, p)
+            if p <= 40:
+                assert generate(s).rows == reference_generate(s).rows, p
+            for kind in CodeKind:
+                assert formula_x_number(s, kind) == reference_formula_x_number(s, kind), (p, kind)
+
+
 class TestConstructiveCode:
     def test_pattern_n12(self):
         assert ftd_code_path_cycle(12, cyclic=False) == VertexSet.of(
@@ -241,3 +268,20 @@ class TestRandomGnp:
     def test_extremes(self):
         assert random_gnp(6, 0.0, random.Random(1)).num_edges == 0
         assert random_gnp(6, 1.0, random.Random(1)).num_edges == 15
+
+    def test_rows_match_reference_draws(self):
+        for seed in range(20):
+            got = random_gnp(40, 0.3, random.Random(seed))
+            assert got.rows == reference_random_gnp(40, 0.3, random.Random(seed)).rows
+
+    def test_too_many_vertices_refused_before_any_draw(self):
+        rng = random.Random(1)
+        with pytest.raises(GraphFormatError, match=f"vertex count {MAX_VERTICES + 1} exceeds"):
+            random_gnp(MAX_VERTICES + 1, 0.0, rng)
+        assert rng.getstate() == random.Random(1).getstate()
+
+    def test_too_many_edges_refused_after_the_first_row(self, monkeypatch):
+        monkeypatch.setattr("sepcodes.graphs.MAX_EDGES", 10)
+        # Row 0 of G(30, 1.0) already holds 29 edges; the graph would hold 435.
+        with pytest.raises(GraphFormatError, match="edge count 29 exceeds the limit of 10"):
+            random_gnp(30, 1.0, random.Random(1))
