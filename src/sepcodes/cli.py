@@ -327,16 +327,19 @@ def _cmd_reduce(args) -> tuple[dict, list[str], int]:
     ftd = codes.x_number(gg.graph, codes.CodeKind.FTD, budget)
     fd = codes.x_number(gg.graph, codes.CodeKind.FD, budget)
     target_ftd, target_fd = 7 * n + 2 * m, 7 * n + 2 * m - 1
-    checks = [
-        {"name": "sat<=>FTD==7n+2m", "holds": sat == (ftd.size == target_ftd),
-         "detail": f"sat={sat}, FTD={ftd.size}, target={target_ftd}"},
-        {"name": "sat<=>FD==7n+2m-1", "holds": sat == (fd.size == target_fd),
-         "detail": f"sat={sat}, FD={fd.size}, target={target_fd}"},
-    ]
+    # The size checks read proven sizes only; an incumbent is no X-number.
+    checks = []
+    if ftd.optimal:
+        checks.append({"name": "sat<=>FTD==7n+2m", "holds": sat == (ftd.size == target_ftd),
+                       "detail": f"sat={sat}, FTD={ftd.size}, target={target_ftd}"})
+    if fd.optimal:
+        checks.append({"name": "sat<=>FD==7n+2m-1", "holds": sat == (fd.size == target_fd),
+                       "detail": f"sat={sat}, FD={fd.size}, target={target_fd}"})
     if not sat:
-        checks.append({"name": "unsat=>both-strictly-larger",
-                       "holds": ftd.size > target_ftd and fd.size > target_fd,
-                       "detail": f"FTD={ftd.size}>{target_ftd}, FD={fd.size}>{target_fd}"})
+        if ftd.optimal and fd.optimal:
+            checks.append({"name": "unsat=>both-strictly-larger",
+                           "holds": ftd.size > target_ftd and fd.size > target_fd,
+                           "detail": f"FTD={ftd.size}>{target_ftd}, FD={fd.size}>{target_fd}"})
     else:
         built = {}
         for kind, target in ((codes.CodeKind.FTD, target_ftd), (codes.CodeKind.FD, target_fd)):
@@ -357,8 +360,9 @@ def _cmd_reduce(args) -> tuple[dict, list[str], int]:
         "checks": checks,
     }
     lines.append(f"satisfiable: {'yes' if sat else 'no'}")
-    lines.append(f"FTD number: {ftd.size} (target {target_ftd})")
-    lines.append(f"FD number: {fd.size} (target {target_fd})")
+    for name, res, target in (("FTD", ftd, target_ftd), ("FD", fd, target_fd)):
+        opt = "" if res.optimal else " (budget exhausted)"
+        lines.append(f"{name} number: {res.size}{opt} (target {target})")
     for c in checks:
         lines.append(f"  [{'ok' if c['holds'] else 'FAIL'}] {c['name']}: {c['detail']}")
     return body, lines, EXIT_OK if ftd.optimal and fd.optimal else EXIT_BUDGET
@@ -368,7 +372,7 @@ def _cmd_hypergraph(args) -> tuple[dict, list[str], int]:
     g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     h = codes.build_hypergraph(g, kind)
-    reduced = remove_redundant(h)
+    reduced = remove_redundant(codes.solver_hypergraph(g, kind))
     empty = h.has_empty_edge()
     rows, reduced_rows = h.dump_lines(), reduced.dump_lines()
     body.update(kind=kind.value,

@@ -23,8 +23,10 @@ a domination row is a stored row, a trace N[v] & C or N(v) & C is a row
 masked by the code, and a pair hyperedge is the xor of two rows.
 Admissibility, the verifiers and forced vertices make one pass over the
 rows (plus one row lookup per edge end for forced vertices); only the
-hypergraph build visits vertex pairs, since its output holds one edge per
-pair.  That build refuses graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
+hypergraph builds visit vertex pairs.  The definitional build holds one
+edge per pair; the solver's build skips pairs at distance 3 or more
+wherever their edges hold a domination row (every kind but FD and OD).
+Both refuse graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class NotAdmissibleError(ValueError):
         self.reason = reason
 
 
-# Largest vertex count build_hypergraph accepts.  The definitional
+# Largest vertex count either pair build accepts.  The definitional
 # hypergraph holds one n-bit edge per vertex pair, so its memory grows as
 # n^3: building it for path:1000 (FTD) peaks near 85 MB, and n = 2,000
 # costs about eight times that.  Larger graphs are refused before the
@@ -128,16 +130,9 @@ class CoverCodeMismatchError(RuntimeError):
     """
 
 
-def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
-    """The X-hypergraph of g whose covers are exactly the X-codes of g.
-
-    Edge order is deterministic: all neighborhoods by vertex id, then
-    symmetric differences of all adjacent pairs in lexicographic order,
-    then of all non-adjacent pairs in lexicographic order.  Non-admissible
-    graphs simply yield a hypergraph containing an empty hyperedge.
-    Raises GraphFormatError when g has more than MAX_HYPERGRAPH_VERTICES
-    vertices.
-    """
+def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
+    """build_hypergraph's edges, of every pair or (near) of the pairs at
+    distance at most 2."""
     n = g.n
     if n > MAX_HYPERGRAPH_VERTICES:
         raise GraphFormatError(
@@ -147,17 +142,58 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     fam = FAMILIES[kind]
     rows = {Nbhd.OPEN: g.rows, Nbhd.CLOSED: g.closed_rows}
     adj_rows, non_rows = rows[fam.adjacent_pairs], rows[fam.nonadjacent_pairs]
+    closed = g.closed_rows
     adjacent: list[int] = []
     nonadjacent: list[int] = []
-    # The one pass over vertex pairs: every pair contributes one edge.
+    # The one pass over vertex pairs u < v.  With near, v runs over u's
+    # radius-2 ball, the OR of the closed rows of N[u], or over every
+    # v > u as soon as the ball holds them all (dense graphs).
     for u, row in enumerate(g.rows):
         au, nu = adj_rows[u], non_rows[u]
-        for v in range(u + 1, n):
+        others = range(u + 1, n)
+        if near:
+            above = (1 << n) - (2 << u)
+            ball = 0
+            for w in bit_ids(closed[u]):
+                ball |= closed[w]
+                if ball & above == above:
+                    break
+            else:
+                others = bit_ids(ball & above)
+        for v in others:
             if row >> v & 1:
                 adjacent.append(au ^ adj_rows[v])
             else:
                 nonadjacent.append(nu ^ non_rows[v])
     return Hypergraph(n, [*rows[fam.domination], *adjacent, *nonadjacent])
+
+
+def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
+    """The X-hypergraph of g whose covers are exactly the X-codes of g.
+
+    This is the definitional build, with one edge per vertex pair; the
+    solver reads :func:`solver_hypergraph`.  Edge order is deterministic:
+    all neighborhoods by vertex id, then symmetric differences of all
+    adjacent pairs in lexicographic order, then of all non-adjacent pairs
+    in lexicographic order.  Non-admissible graphs simply yield a
+    hypergraph containing an empty hyperedge.  Raises GraphFormatError
+    when g has more than MAX_HYPERGRAPH_VERTICES vertices.
+    """
+    return _pair_hypergraph(g, kind, near=False)
+
+
+def solver_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
+    """:func:`build_hypergraph` less the far-pair edges that redundancy
+    removal always drops.
+
+    For u, v at distance 3 or more, N[u] and N[v] are disjoint, so the
+    pair's edge N[u] | N[v] or N(u) | N(v) contains u's domination row,
+    listed earlier, unless that row is N[u] and the edge N(u) | N(v):
+    FD and OD keep every pair, the other kinds the pairs at distance at
+    most 2.  Both builds reduce to the same edges in the same order.
+    """
+    fam = FAMILIES[kind]
+    return _pair_hypergraph(g, kind, near=fam.domination is _O or fam.nonadjacent_pairs is _C)
 
 
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
@@ -285,13 +321,17 @@ def forced_vertices(g: Graph) -> VertexSet:
 def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult:
     """Exact X-number of g: minimum cover of the X-hypergraph.
 
-    Raises NotAdmissibleError when no code of this kind exists.  On budget
-    exhaustion the result carries the best code found, flagged non-optimal.
+    The cover search reads :func:`solver_hypergraph`, whose redundancy
+    removal gives the definitional build's edges in the same order, so
+    the search visits the same nodes.  Raises NotAdmissibleError when no
+    code of this kind exists, GraphFormatError above
+    MAX_HYPERGRAPH_VERTICES vertices.  On budget exhaustion the result
+    carries the best code found, flagged non-optimal.
     """
     failure = admissibility_failure(g, kind)
     if failure is not None:
         raise NotAdmissibleError(kind, failure)
-    result = min_cover(build_hypergraph(g, kind), budget)
+    result = min_cover(solver_hypergraph(g, kind), budget)
     if not verify_code(g, kind, result.witness):
         raise CoverCodeMismatchError(
             f"cover {result.witness.sorted_ids()} of the {kind.value}-hypergraph "

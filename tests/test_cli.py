@@ -5,8 +5,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from sepcodes import codes
+from sepcodes import build_hypergraph, codes, remove_redundant
 from sepcodes.cli import main, render_json
+from sepcodes.families import graph_from_spec_string
 
 from conftest import MALFORMED_DIMACS, MALFORMED_EDGE_LISTS
 
@@ -275,6 +276,22 @@ class TestReduce:
         assert code == 2
         assert report["check"]["ftd"]["optimal"] and not report["check"]["fd"]["optimal"]
 
+    def test_check_skips_unproven_sizes(self, tmp_path):
+        # at budget 1 both searches stop at incumbents (FTD 28, FD 27) above
+        # the satisfiable targets 27 and 26; no size check may judge them
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 3\n3 1 0\n-3 1 2 0\n-1 0\n", encoding="utf-8")
+        code, report = run_json("reduce", str(cnf), "--check", "--budget", "1")
+        assert code == 2
+        check = report["check"]
+        assert not check["ftd"]["optimal"] and not check["fd"]["optimal"]
+        assert all(c["holds"] for c in check["checks"])
+        assert not any(c["name"].startswith("sat<=>") for c in check["checks"])
+        code, out = run_cli("reduce", str(cnf), "--check", "--budget", "1")
+        assert code == 2
+        assert "FTD number: 28 (budget exhausted) (target 27)" in out
+        assert "FAIL" not in out
+
     def test_oversized_gadget_refused(self, tmp_path, capsys):
         # 10n + 3m vertices: refused before any label or edge is built
         cnf = tmp_path / "huge.cnf"
@@ -312,6 +329,20 @@ class TestHypergraphDump:
         # k singleton total-domination edges plus C(k,2) stable-pair edges
         _, report = run_json("hypergraph", "--family", "thin:4", "--kind", "ftd")
         assert report["reduced"]["count"] == 4 + 6
+
+    @pytest.mark.parametrize("spec", ["path:8", "cycle:9", "path:5+k1"])
+    @pytest.mark.parametrize("kind", list(codes.CodeKind))
+    def test_rows_match_the_definitional_build(self, spec, kind):
+        # the reduced list comes from the solver's build, the raw one from
+        # the all-pairs build
+        g = graph_from_spec_string(spec)[0]
+        h = build_hypergraph(g, kind)
+        reduced = remove_redundant(h)
+        code, report = run_json("hypergraph", "--family", spec, "--kind", kind.value)
+        assert code == 0
+        assert report["hypergraph"] == {"edges": h.dump_lines(), "count": len(h.edges)}
+        assert report["reduced"] == {"edges": reduced.dump_lines(), "count": len(reduced.edges)}
+        assert report["empty_hyperedge"] is h.has_empty_edge()
 
 
 class TestFamilyCommand:

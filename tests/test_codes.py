@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -28,8 +29,10 @@ from sepcodes import (
     is_admissible,
     is_cover,
     is_full_separating,
+    min_cover,
     precedes,
     random_gnp,
+    remove_redundant,
     verify_code,
     verify_code_fast,
     x_number,
@@ -40,6 +43,7 @@ from sepcodes.codes import (
     admissibility_failure,
     is_closed_separating,
     is_open_separating,
+    solver_hypergraph,
 )
 from sepcodes.families import graph_from_spec_string
 from sepcodes.sat_reduction import CnfFormula, build_gadget
@@ -166,6 +170,57 @@ class TestBuildHypergraph:
             path(5), CodeKind.FTD)
         with pytest.raises(GraphFormatError, match="6 vertices exceed the hypergraph limit of 5"):
             build_hypergraph(path(6), CodeKind.FTD)
+
+
+def family_graphs():
+    """Every family at its small parameters, each also with an isolated vertex."""
+    sizes = {"path": range(1, 13), "cycle": range(3, 13), "half": range(1, 7),
+             "thin": range(2, 7), "thick": range(2, 7)}
+    for family, params in sizes.items():
+        for size in params:
+            for suffix in ("", "+k1"):
+                yield graph_from_spec_string(f"{family}:{size}{suffix}")[0]
+
+
+class TestSolverHypergraph:
+    """The solver's build, which skips far pairs for six kinds, against the
+    definitional all-pairs build."""
+
+    def test_reduces_to_the_reference_edges_in_order(self):
+        graphs = [*seeded_graphs(71, 400), *family_graphs()]
+        for g in graphs:
+            # u, v are within distance 2 iff N[u] and N[v] meet
+            balls = [ids(g.rows[v] | 1 << v, g.n) for v in range(g.n)]
+            near_pairs = sum(1 for u, v in itertools.combinations(balls, 2) if u & v)
+            for kind in ALL_KINDS:
+                near = solver_hypergraph(g, kind)
+                want = remove_redundant(reference_build_hypergraph(g, kind)).edges
+                assert remove_redundant(near).edges == want, (kind, format_edge_list(g))
+                if kind in (CodeKind.FD, CodeKind.OD):
+                    assert near == build_hypergraph(g, kind)
+                else:
+                    assert len(near.edges) == g.n + near_pairs
+
+    def test_x_number_matches_the_definitional_build(self):
+        rng = random.Random(72)
+        graphs = [*(random_twin_free_graph(rng, rng.randint(4, 10)) for _ in range(60)),
+                  *seeded_graphs(73, 120), *family_graphs()]
+        for g in graphs:
+            for kind in ALL_KINDS:
+                if not is_admissible(g, kind):
+                    continue
+                for budget in (None, 3):
+                    # size, witness, optimal and nodes_explored
+                    assert x_number(g, kind, budget) == min_cover(
+                        build_hypergraph(g, kind), budget), (kind, budget, format_edge_list(g))
+
+    def test_vertex_limit(self):
+        g = path(MAX_HYPERGRAPH_VERTICES + 1)
+        for kind in (CodeKind.FD, CodeKind.ID):
+            with pytest.raises(GraphFormatError, match=(
+                    f"{MAX_HYPERGRAPH_VERTICES + 1} vertices exceed the hypergraph limit of "
+                    f"{MAX_HYPERGRAPH_VERTICES} \\(one hyperedge per vertex pair\\)")):
+                x_number(g, kind)
 
 
 class TestAdmissibility:

@@ -386,10 +386,15 @@ class TestKernelMatchesReference:
         ("cycle:24", CodeKind.OD, 2371),
         ("thick:12", CodeKind.LD, 1588),
         ("path:36", CodeKind.ID, 383),
+        # far-pair kinds (solver build within distance 2) not pinned above
+        ("path:48", CodeKind.FTD, 173),
+        ("cycle:36", CodeKind.OTD, 1015),
+        ("thick:15", CodeKind.ITD, 43),
+        ("thick:12", CodeKind.LTD, 1533),
     ])
     def test_x_number_node_counts_pinned(self, spec, kind, nodes):
         # the branching order and the table's cuts are fixed (the list-based
-        # engine needs 1093, 4027, 6766 and 1415 nodes here)
+        # engine needs 1093, 4027, 6766 and 1415 nodes on the first four)
         g, _ = graph_from_spec_string(spec)
         res = x_number(g, kind)
         assert res.optimal and res.nodes_explored == nodes
