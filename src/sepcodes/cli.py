@@ -372,7 +372,8 @@ def _cmd_hypergraph(args) -> tuple[dict, list[str], int]:
     g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     h = codes.build_hypergraph(g, kind)
-    reduced = remove_redundant(codes.solver_hypergraph(g, kind))
+    reduced = remove_redundant(codes.solver_hypergraph(g, kind)
+                               if codes.far_pairs_redundant(kind) else h)
     empty = h.has_empty_edge()
     rows, reduced_rows = h.dump_lines(), reduced.dump_lines()
     body.update(kind=kind.value,

@@ -182,18 +182,19 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     return _pair_hypergraph(g, kind, near=False)
 
 
-def solver_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
-    """:func:`build_hypergraph` less the far-pair edges that redundancy
-    removal always drops.
-
-    For u, v at distance 3 or more, N[u] and N[v] are disjoint, so the
-    pair's edge N[u] | N[v] or N(u) | N(v) contains u's domination row,
-    listed earlier, unless that row is N[u] and the edge N(u) | N(v):
-    FD and OD keep every pair, the other kinds the pairs at distance at
-    most 2.  Both builds reduce to the same edges in the same order.
-    """
+def far_pairs_redundant(kind: CodeKind) -> bool:
+    """Whether every far pair's edge holds a domination row: for u, v at
+    distance 3 or more, N[u] and N[v] are disjoint, so N[u] | N[v] or
+    N(u) | N(v) contains u's row, listed earlier, unless that row is N[u]
+    and the edge N(u) | N(v), as in FD and OD."""
     fam = FAMILIES[kind]
-    return _pair_hypergraph(g, kind, near=fam.domination is _O or fam.nonadjacent_pairs is _C)
+    return fam.domination is _O or fam.nonadjacent_pairs is _C
+
+
+def solver_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
+    """:func:`build_hypergraph` less the far-pair edges wherever
+    :func:`far_pairs_redundant` holds; both reduce to the same edges in order."""
+    return _pair_hypergraph(g, kind, near=far_pairs_redundant(kind))
 
 
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:

@@ -34,8 +34,9 @@ shortcuts make a node cheaper without changing which nodes are visited.
 A branching node at ``best - 2`` chosen vertices has only leaf children,
 each a cover (the first becomes the incumbent) or cut by the bound; it
 visits them in place, in stack order and counted against the budget,
-and its close marker closes it.  Packing caches each edge's conflict set
-(the OR of ``inc[v]`` over its members) for use while none is banned.
+and its close marker closes it.  Packing caches conflict sets (the OR
+of ``inc[v]`` over an edge's allowed members) keyed by those members, one
+lookup per packed edge, and clears the cache at ``len(masks)`` entries.
 
 A transposition table (branch-and-bound with caching, Kitching and
 Bacchus, CP 2008) maps the live edges of each finished branching node
@@ -190,30 +191,29 @@ def _incidence(n: int, masks: Sequence[int]) -> list[int]:
     return inc
 
 
-def _packing(masks: Sequence[int], inc: list[int], conf: list[int], live: int, banned: int,
+def _packing(masks: Sequence[int], inc: list[int], conf: dict[int, int], live: int, banned: int,
              limit: int) -> int:
     """Greedy count of pairwise-disjoint live edges, restricted to the
     unbanned vertices and taken lowest index first; a lower bound on the
     cover.  Counting stops once it reaches ``limit``.
 
-    ``conf[i]`` caches the edges sharing a vertex with masks[i] (0 until
-    first needed); it stands for the allowed members only while none of
-    them is banned, so an edge with a banned member is walked afresh."""
+    ``conf`` maps the allowed members of an edge, banned members or not, to
+    the edges sharing one of them; a miss walks them, and the dict is
+    cleared before an insert once it holds ``len(masks)`` entries."""
+    allowed = ~banned
     packed = 0
     while live and packed < limit:
         packed += 1
-        i = (live & -live).bit_length() - 1
-        m = masks[i]
-        free = not m & banned
-        hit = conf[i] if free else 0  # every edge sharing an allowed vertex with this one
+        key = m = masks[(live & -live).bit_length() - 1] & allowed
+        hit = conf.get(key, 0)  # every edge sharing an allowed vertex with this one
         if not hit:
-            m &= ~banned
             while m:
                 low = m & -m
                 hit |= inc[low.bit_length() - 1]
                 m ^= low
-            if free:
-                conf[i] = hit
+            if len(conf) >= len(masks):
+                conf.clear()
+            conf[key] = hit
         live &= ~hit
     return packed
 
@@ -248,7 +248,7 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     live = (1 << len(masks)) - 1
     chosen = _greedy_mask(inc, live)
     size = chosen.bit_count()
-    packed = _packing(masks, inc, [0] * len(masks), live, 0, size)
+    packed = _packing(masks, inc, {}, live, 0, size)
     return CoverResult(size, VertexSet(h.n, chosen), size == packed, 0)
 
 
@@ -279,7 +279,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     best_size = best_mask.bit_count()
     nodes = 0
     table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
-    conf = [0] * len(masks)  # packing conflicts per edge, filled on first use
+    conf: dict[int, int] = {}  # allowed members -> packing conflicts, filled on first use
     # A node is (chosen, count, banned, live, planes): the chosen vertices
     # and their number, the vertices banned by earlier siblings, the edges
     # not yet hit by chosen, and the bit-sliced count of each live edge's

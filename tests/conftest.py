@@ -773,7 +773,14 @@ def reference_random_gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:
-    """Rejection-sample a twin-free (and optionally isolate-free) graph."""
+    """Rejection-sample a twin-free (and optionally isolate-free) graph.
+
+    Raises ValueError for the orders that have no such graph, where the
+    rejection loop would never end: no graph on 2 or 3 vertices is
+    twin-free, and the one vertex of a 1-vertex graph is isolated.
+    """
+    if n in (2, 3) or (n == 1 and isolate_free):
+        raise ValueError(f"no twin-free graph (isolate_free={isolate_free}) has {n} vertices")
     while True:
         g = random_gnp(n, rng.uniform(0.25, 0.7), rng)
         if not g.is_twin_free():

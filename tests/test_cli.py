@@ -344,6 +344,22 @@ class TestHypergraphDump:
         assert report["reduced"] == {"edges": reduced.dump_lines(), "count": len(reduced.edges)}
         assert report["empty_hyperedge"] is h.has_empty_edge()
 
+    @pytest.mark.parametrize("kind", list(codes.CodeKind))
+    def test_one_pair_build_where_the_solver_keeps_every_pair(self, monkeypatch, kind):
+        # FD and OD reduce the raw build itself; the other kinds also make
+        # the distance-2 build
+        builds = []
+        pair_hypergraph = codes._pair_hypergraph
+
+        def counted(g, kind, near):
+            builds.append(near)
+            return pair_hypergraph(g, kind, near)
+
+        monkeypatch.setattr(codes, "_pair_hypergraph", counted)
+        assert run_json("hypergraph", "--family", "cycle:9", "--kind", kind.value)[0] == 0
+        far = kind in (codes.CodeKind.FD, codes.CodeKind.OD)
+        assert builds == ([False] if far else [False, True])
+
 
 class TestFamilyCommand:
     def test_family_prints_formulas(self):

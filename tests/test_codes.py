@@ -41,6 +41,7 @@ from sepcodes import codes
 from sepcodes.codes import (
     MAX_HYPERGRAPH_VERTICES,
     admissibility_failure,
+    far_pairs_redundant,
     is_closed_separating,
     is_open_separating,
     solver_hypergraph,
@@ -200,6 +201,9 @@ class TestSolverHypergraph:
                     assert near == build_hypergraph(g, kind)
                 else:
                     assert len(near.edges) == g.n + near_pairs
+
+    def test_far_pairs_redundant_for_all_but_fd_and_od(self):
+        assert [k for k in ALL_KINDS if not far_pairs_redundant(k)] == [CodeKind.FD, CodeKind.OD]
 
     def test_x_number_matches_the_definitional_build(self):
         rng = random.Random(72)

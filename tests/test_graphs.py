@@ -23,6 +23,7 @@ from sepcodes.graphs import MAX_EDGES, MAX_VERTICES
 from conftest import (
     MALFORMED_EDGE_LISTS,
     complete_graph,
+    random_twin_free_graph,
     reference_closed_twins,
     reference_edges,
     reference_open_twins,
@@ -191,6 +192,27 @@ class TestTwins:
             )
         assert sum(bool(g.closed_twins()) for g in graphs) > 50
         assert sum(bool(g.open_twins()) for g in graphs) > 50
+
+
+class TestRandomTwinFreeGraph:
+    @pytest.mark.parametrize("isolate_free", [True, False])
+    def test_refuses_exactly_the_orders_without_such_graph(self, isolate_free):
+        # every graph on n <= 5 vertices decides whether the sampler can end
+        rng = random.Random(7)
+        for n in range(6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            exists = any(
+                g.is_twin_free() and not (isolate_free and g.isolated_vertices())
+                for bits in range(1 << len(pairs))
+                for g in [Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])]
+            )
+            if exists:
+                g = random_twin_free_graph(rng, n, isolate_free)
+                assert g.n == n and g.is_twin_free()
+                assert not (isolate_free and g.isolated_vertices())
+            else:
+                with pytest.raises(ValueError, match=f"has {n} vertices"):
+                    random_twin_free_graph(rng, n, isolate_free)
 
 
 class TestIsolated:

@@ -402,10 +402,11 @@ class TestKernelMatchesReference:
 
 class TestNodeForNode:
     """Unit propagation ahead of the single cut chain, leaf children
-    expanded in place and closed by the branching node's marker, and cached
-    packing conflicts change no node: size, witness, flag and
-    ``nodes_explored`` all match the table engine, which pushes every child,
-    at every budget from 0 on."""
+    expanded in place and closed by the branching node's marker, and
+    packing conflicts cached by allowed members (cleared once the cache
+    holds one entry per edge) change no node: size, witness, flag and
+    ``nodes_explored`` all match the table engine, which pushes every child
+    and walks every packed edge, at every budget from 0 on."""
 
     @pytest.mark.parametrize("spec, kind", [("cycle:24", CodeKind.FD), ("thick:12", CodeKind.LD)])
     def test_every_budget(self, spec, kind):
@@ -450,6 +451,25 @@ class TestNodeForNode:
         assert got == cover_outcome(reference_table_min_cover, h, 50_000)
         assert (got[0], got[2], got[3]) == (8, False, 50_001)
         assert is_cover(h, VertexSet(h.n, got[1]))
+
+    def test_dense_gnp_clears_the_conflict_cache(self, monkeypatch):
+        # the case above meets more allowed-member sets than it has edges
+        # (794), so the cache is cleared inside a search that still
+        # matches the table engine node for node
+        h = build_hypergraph(random_gnp(40, 0.3, random.Random(0)), CodeKind.ID)
+        packing, sizes = hypergraphs._packing, []
+
+        def recorded(masks, inc, conf, *rest):
+            packed = packing(masks, inc, conf, *rest)
+            sizes.append((len(conf), len(masks)))
+            return packed
+
+        monkeypatch.setattr(hypergraphs, "_packing", recorded)
+        got = cover_outcome(min_cover, h, 50_000)
+        assert got == cover_outcome(reference_table_min_cover, h, 50_000)
+        assert {edges for _, edges in sizes} == {794}
+        assert max(held for held, _ in sizes) == 794
+        assert any(after < before for (before, _), (after, _) in zip(sizes, sizes[1:]))
 
 
 def _stack_depth() -> int:
