@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .graphs import Graph, GraphFormatError, VertexSet, bit_ids
+from .graphs import Graph, GraphFormatError, VertexSet, bit_ids, first_equal_row_pair
 from .hypergraphs import CoverResult, Hypergraph, min_cover
 
 
@@ -203,7 +203,9 @@ def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
     Structural test: an empty hyperedge can only come from an isolated
     vertex (open-neighborhood domination row), a closed-twin pair
     (closed adjacent diffs), or an open-twin pair (open non-adjacent
-    diffs, which includes any two isolated vertices).
+    diffs, which includes any two isolated vertices).  The reason names
+    the least such vertex or lexicographically first such pair, found in
+    one pass over the rows that lists no pairs.
     """
     fam = FAMILIES[kind]
     if fam.domination is Nbhd.OPEN:
@@ -211,13 +213,13 @@ def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
         if isolated:
             return f"isolated vertex {next(iter(isolated))}"
     if fam.adjacent_pairs is Nbhd.CLOSED:
-        twins = g.closed_twins()
+        twins = first_equal_row_pair(g.closed_rows)
         if twins:
-            return f"closed twins {twins[0]}"
+            return f"closed twins {twins}"
     if fam.nonadjacent_pairs is Nbhd.OPEN:
-        twins = g.open_twins()
+        twins = first_equal_row_pair(g.rows)
         if twins:
-            return f"open twins {twins[0]}"
+            return f"open twins {twins}"
     return None
 
 
@@ -241,16 +243,6 @@ def _separates(rows: Sequence[int], cm: int) -> bool:
     return len({row & cm for row in rows}) == len(rows)
 
 
-def is_closed_separating(g: Graph, c: VertexSet) -> bool:
-    """The traces N[v] & C are pairwise distinct."""
-    return _separates(g.closed_rows, _code_mask(g, c))
-
-
-def is_open_separating(g: Graph, c: VertexSet) -> bool:
-    """The traces N(v) & C are pairwise distinct."""
-    return _separates(g.rows, _code_mask(g, c))
-
-
 def is_full_separating(g: Graph, c: VertexSet) -> bool:
     """Every pair u, v is separated by C within (N(u) sym N(v)) - {u,v}.
 
@@ -259,7 +251,8 @@ def is_full_separating(g: Graph, c: VertexSet) -> bool:
     closed separation plus open separation.  The other equivalent forms
     live in the test suite as independent oracles.
     """
-    return is_closed_separating(g, c) and is_open_separating(g, c)
+    cm = _code_mask(g, c)
+    return _separates(g.closed_rows, cm) and _separates(g.rows, cm)
 
 
 def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
@@ -285,7 +278,9 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
 
 
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
-    """:func:`verify_code` for the full-separation codes FD and FTD.
+    """:func:`verify_code` behind a guard on the kind, FD or FTD: no faster
+    check.  Kept, like :func:`~sepcodes.hypergraphs.greedy_cover`, only
+    while the benchmark calls it (ROADMAP items 1 and 2).
 
     Raises ValueError for any other kind.
     """

@@ -6,8 +6,8 @@ plus the closed neighborhoods N[v] derived once at construction
 (``Graph.closed_rows``).  Every structural question in the package (twins,
 isolated vertices, edges, and in :mod:`sepcodes.codes` domination, traces
 and hyperedges) is answered by iterating these rows.  Other vertex
-subsets are fixed-universe bitsets (:class:`VertexSet`), so every set
-operation is a couple of machine-word ops on a Python int.
+subsets are fixed-universe bitsets (:class:`VertexSet`) over one Python
+int; the package combines their masks directly.
 
 Graphs and vertex sets are frozen dataclasses, immutable after
 construction and safe to share across threads.
@@ -41,7 +41,7 @@ class GraphFormatError(ValueError):
 
 
 class UniverseMismatchError(ValueError):
-    """Two fixed-universe sets (or hypergraphs) with different universe sizes."""
+    """Two fixed-universe sets with different universe sizes."""
 
 
 def check_vertex_count(n: int) -> None:
@@ -70,8 +70,8 @@ def bit_ids(mask: int) -> Iterator[int]:
 class VertexSet:
     """Immutable subset of {0..n-1}, backed by an int bitmask.
 
-    All binary operations require both operands to share the same universe
-    size ``n`` and raise :class:`UniverseMismatchError` otherwise.
+    :meth:`issubset` requires both operands to share the same universe
+    size ``n`` and raises :class:`UniverseMismatchError` otherwise.
     """
 
     n: int
@@ -99,22 +99,6 @@ class VertexSet:
             raise UniverseMismatchError(
                 f"universe sizes differ: {self.n} vs {other.n}"
             )
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __xor__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask ^ other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & ~other.mask)
 
     def issubset(self, other: "VertexSet") -> bool:
         self._check(other)
@@ -192,33 +176,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    # --- neighborhoods -------------------------------------------------
-
-    def _require_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex id {v} out of range 0..{self.n - 1}")
-
-    def open_neighborhood(self, v: int) -> VertexSet:
-        """All vertices adjacent to v (never contains v)."""
-        self._require_vertex(v)
-        return VertexSet(self.n, self.rows[v])
-
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        """Open neighborhood of v together with v itself."""
-        self._require_vertex(v)
-        return VertexSet(self.n, self.closed_rows[v])
-
-    def degree(self, v: int) -> int:
-        self._require_vertex(v)
-        return self.rows[v].bit_count()
-
-    def adjacent(self, u: int, v: int) -> bool:
-        self._require_vertex(u)
-        self._require_vertex(v)
-        return self.rows[u] >> v & 1 == 1
-
-    # --- global structure ----------------------------------------------
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v, in lexicographic order."""
         for u, row in enumerate(self.rows):
@@ -248,10 +205,6 @@ class Graph:
         """
         return _equal_row_pairs(self.rows)
 
-    def is_twin_free(self) -> bool:
-        """True iff the graph has neither closed nor open twins."""
-        return not self.closed_twins() and not self.open_twins()
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
@@ -266,6 +219,19 @@ def _equal_row_pairs(rows: Iterable[int]) -> list[tuple[int, int]]:
     for v, row in enumerate(rows):
         groups.setdefault(row, []).append(v)
     return sorted(pair for group in groups.values() for pair in itertools.combinations(group, 2))
+
+
+def first_equal_row_pair(rows: Iterable[int]) -> tuple[int, int] | None:
+    """``_equal_row_pairs(rows)[0]``, or None, in one pass that lists no
+    pairs: the first pair of a group is its two lowest ids, and the pairs
+    of different groups differ in their first id."""
+    first: dict[int, int] = {}
+    best = None
+    for v, row in enumerate(rows):
+        u = first.setdefault(row, v)
+        if u != v and (best is None or u < best[0]):
+            best = (u, v)
+    return best
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:

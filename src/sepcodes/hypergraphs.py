@@ -60,9 +60,9 @@ far (never silently truncated) with ``nodes_explored`` = ``budget + 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graphs import UniverseMismatchError, VertexSet, bit_ids
+from .graphs import VertexSet, bit_ids
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -94,10 +94,6 @@ class Hypergraph:
             if m < 0 or m >> self.n:
                 raise ValueError(f"hyperedge mask {m:#x} has bits outside 0..{self.n - 1}")
 
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "Hypergraph":
-        return cls(n, (VertexSet.of(n, s).mask for s in sets))
-
     def has_empty_edge(self) -> bool:
         return 0 in self.edges
 
@@ -125,17 +121,6 @@ class CoverResult:
     witness: VertexSet
     optimal: bool
     nodes_explored: int
-
-
-def is_cover(h: Hypergraph, c: VertexSet) -> bool:
-    """True iff c intersects every hyperedge (vacuously true if none).
-
-    A hypergraph containing the empty hyperedge has no cover at all.
-    """
-    if c.n != h.n:
-        raise UniverseMismatchError(f"cover universe {c.n} != hypergraph universe {h.n}")
-    cm = c.mask
-    return all(e & cm for e in h.edges)
 
 
 def _minimal_masks(masks: tuple[int, ...]) -> list[int]:
@@ -239,7 +224,9 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     """Greedy max-coverage heuristic cover of the inclusion-minimal edges.
 
     Flagged optimal only when the greedy size matches the disjoint-packing
-    lower bound of the hypergraph.
+    lower bound of the hypergraph.  :func:`min_cover` starts from the same
+    greedy cover; this entry point is kept only while the benchmark's
+    greedy probe calls it (ROADMAP items 1 and 2).
     """
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
@@ -359,17 +346,3 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 j += 1
         stack.extend(reversed(children))
     return CoverResult(best_size, VertexSet(h.n, best_mask), nodes <= budget, nodes)
-
-
-def precedes(h: Hypergraph, h2: Hypergraph) -> bool:
-    """True iff every hyperedge of h2 contains some hyperedge of h.
-
-    When this holds, every cover of h is also a cover of h2, hence
-    tau(h2) <= tau(h).
-    """
-    if h.n != h2.n:
-        raise UniverseMismatchError(f"universe sizes differ: {h.n} vs {h2.n}")
-    for e2 in h2.edges:
-        if not any(m & ~e2 == 0 for m in h.edges):
-            return False
-    return True

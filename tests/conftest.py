@@ -23,7 +23,9 @@ from sepcodes import (
     FamilySpec,
     Graph,
     Hypergraph,
+    UniverseMismatchError,
     VertexSet,
+    is_admissible,
     random_gnp,
 )
 from sepcodes import hypergraphs
@@ -67,6 +69,29 @@ def naive_minimal_edges(h: Hypergraph) -> list[frozenset[int]]:
         if not dominated:
             kept.append(s)
     return kept
+
+
+def hypergraph_from_sets(n: int, sets: Iterable[Iterable[int]]) -> Hypergraph:
+    """The hypergraph on {0..n-1} whose edges are the given id sets, in order."""
+    return Hypergraph(n, [sum(1 << v for v in set(s)) for s in sets])
+
+
+def is_cover(h: Hypergraph, c: VertexSet) -> bool:
+    """True iff c meets every hyperedge (vacuously true if none), so never
+    when h holds the empty hyperedge."""
+    if c.n != h.n:
+        raise UniverseMismatchError(f"cover universe {c.n} != hypergraph universe {h.n}")
+    return all(e & c.mask for e in h.edges)
+
+
+def precedes(h: Hypergraph, h2: Hypergraph) -> bool:
+    """True iff every hyperedge of h2 contains some hyperedge of h.
+
+    Then every cover of h also covers h2, hence tau(h2) <= tau(h).
+    """
+    if h.n != h2.n:
+        raise UniverseMismatchError(f"universe sizes differ: {h.n} vs {h2.n}")
+    return all(any(e & ~e2 == 0 for e in h.edges) for e2 in h2.edges)
 
 
 def random_subset(n: int, rng: random.Random) -> VertexSet:
@@ -783,7 +808,7 @@ def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True
         raise ValueError(f"no twin-free graph (isolate_free={isolate_free}) has {n} vertices")
     while True:
         g = random_gnp(n, rng.uniform(0.25, 0.7), rng)
-        if not g.is_twin_free():
+        if not is_admissible(g, CodeKind.FD):  # twin-free
             continue
         if isolate_free and g.isolated_vertices():
             continue

@@ -35,7 +35,6 @@ from sepcodes import (
     generate,
     induced_subgraph,
     is_admissible,
-    is_cover,
     is_full_separating,
     min_cover,
     random_gnp,
@@ -43,12 +42,14 @@ from sepcodes import (
     x_number,
 )
 from sepcodes.cli import main as cli_main
-from sepcodes.codes import is_closed_separating, is_open_separating
 
 from conftest import (
     FULL_SEPARATION_ORACLES,
     brute_force_tau,
     exhaustive_small_formulas,
+    is_closed_separating,
+    is_cover,
+    is_open_separating,
     random_subset,
     random_twin_free_graph,
 )

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,8 @@ from sepcodes import (
     generate,
     induced_subgraph,
     is_admissible,
-    is_cover,
     is_full_separating,
     min_cover,
-    precedes,
     random_gnp,
     remove_redundant,
     verify_code,
@@ -42,8 +41,6 @@ from sepcodes.codes import (
     MAX_HYPERGRAPH_VERTICES,
     admissibility_failure,
     far_pairs_redundant,
-    is_closed_separating,
-    is_open_separating,
     solver_hypergraph,
 )
 from sepcodes.families import graph_from_spec_string
@@ -55,6 +52,10 @@ from conftest import (
     distance2_full_code,
     exhaustive_small_formulas,
     ids,
+    is_closed_separating,
+    is_cover,
+    is_open_separating,
+    precedes,
     random_subset,
     random_twin_free_graph,
     reference_build_hypergraph,
@@ -263,6 +264,26 @@ class TestAdmissibility:
         open_ = Graph.from_edges(6, [(0, 4), (3, 4), (1, 5), (2, 5)])
         assert admissibility_failure(open_, CodeKind.FD) == "open twins (0, 3)"
 
+    def test_large_twin_class_refused_without_listing_pairs(self):
+        # a 2,001-vertex star has 2,000 open twins and a 2,001-clique 2,001
+        # closed twins: about two million pairs each, which listing them
+        # all would cost over 100 MB before naming the first
+        n = 2001
+        star = Graph.from_edges(n, [(0, v) for v in range(1, n)])
+        full = (1 << n) - 1
+        clique = Graph(n, [full & ~(1 << v) for v in range(n)])
+        for g, kind, reason in ((star, CodeKind.FD, "open twins (1, 2)"),
+                                (clique, CodeKind.ID, "closed twins (0, 1)")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(NotAdmissibleError) as refused:
+                    x_number(g, kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert refused.value.reason == reason
+            assert peak < 2_000_000, (kind, peak)
+
 
 class TestVerifyCode:
     def test_path4_full_vertex_set_is_fd_code(self):
@@ -311,9 +332,8 @@ class TestVerifyCode:
         for kind in ALL_KINDS:
             with pytest.raises(ValueError, match="code universe"):
                 verify_code(g, kind, c)
-        for check in (is_closed_separating, is_open_separating, is_full_separating):
-            with pytest.raises(ValueError, match="code universe"):
-                check(g, c)
+        with pytest.raises(ValueError, match="code universe"):
+            is_full_separating(g, c)
 
 
 class TestFullSeparatingVariants:
@@ -577,7 +597,7 @@ class TestGapAndLowerBounds:
         for _ in range(10):
             base = random_twin_free_graph(rng, rng.randint(4, 7))
             g = disjoint_union(base, Graph.from_edges(1, []))
-            if not g.is_twin_free():
+            if not is_admissible(g, CodeKind.FD):  # twin-free
                 continue
             fd = x_number(g, CodeKind.FD).size
             sub = induced_subgraph(g, range(base.n))

@@ -49,15 +49,15 @@ class TestGenerate:
     def test_half_graph_canonical_labels(self):
         g = generate(spec(Family.HALF_GRAPH, 3))
         # u_i -> i-1, w_j -> k+j-1; u_i ~ w_j iff i <= j
-        assert g.open_neighborhood(0) == VertexSet.of(6, [3, 4, 5])
-        assert g.open_neighborhood(2) == VertexSet.of(6, [5])
-        assert g.open_neighborhood(5) == VertexSet.of(6, [0, 1, 2])
+        assert g.rows[0] == VertexSet.of(6, [3, 4, 5]).mask
+        assert g.rows[2] == VertexSet.of(6, [5]).mask
+        assert g.rows[5] == VertexSet.of(6, [0, 1, 2]).mask
 
     def test_thick_spider_labels(self):
         k = 4
         g = generate(spec(Family.THICK_SPIDER, k))
         # s_1 (id k) sees every clique vertex except q_1
-        assert g.open_neighborhood(k) == VertexSet.of(2 * k, [1, 2, 3])
+        assert g.rows[k] == VertexSet.of(2 * k, [1, 2, 3]).mask
 
     def test_parameter_ranges(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,7 @@ from sepcodes import (
     build_hypergraph,
     generate,
     greedy_cover,
-    is_cover,
     min_cover,
-    precedes,
     random_gnp,
     remove_redundant,
     x_number,
@@ -28,8 +26,11 @@ from sepcodes.hypergraphs import _greedy_mask, _incidence, _minimal_masks
 
 from conftest import (
     brute_force_tau,
+    hypergraph_from_sets,
     ids,
+    is_cover,
     naive_minimal_edges,
+    precedes,
     random_hypergraph,
     random_subset,
     random_twin_free_graph,
@@ -42,7 +43,7 @@ from conftest import (
 
 
 def hg(n, *sets):
-    return Hypergraph.from_sets(n, sets)
+    return hypergraph_from_sets(n, sets)
 
 
 class TestConstruction:
@@ -433,7 +434,7 @@ class TestNodeForNode:
     def test_incumbent_from_a_popped_child(self):
         # a child pushed on the stack covers every edge, so popping it
         # improves the incumbent (greedy 6 -> 4)
-        h = Hypergraph.from_sets(9, [[5], [0, 3, 7], [4, 8], [1, 4], [2, 4], [3, 6], [2, 7],
+        h = hypergraph_from_sets(9, [[5], [0, 3, 7], [4, 8], [1, 4], [2, 4], [3, 6], [2, 7],
                                      [1, 2, 6, 8], [1, 3], [0, 4, 7], [0, 3, 8], [0, 2, 8]])
         assert greedy_cover(h).size == 6
         got = cover_outcome(min_cover, h, None)

@@ -14,6 +14,7 @@ from sepcodes import (
     build_gadget,
     code_from_assignment,
     forced_vertices,
+    is_admissible,
     parse_dimacs,
     verify_code,
     x_number,
@@ -135,15 +136,14 @@ class TestBuildGadget:
         gg = build_gadget(CnfFormula(1, ((1,),)))
         g = gg.graph
         z1 = gg.var_vertex(1, "z1")
-        assert g.degree(z1) == 1
-        assert g.open_neighborhood(z1) == VertexSet.of(g.n, [gg.var_vertex(1, "s1")])
-        assert g.degree(gg.clause_vertex(1, "u3")) == 1
-        assert g.degree(gg.var_vertex(1, "v3")) == 1
+        assert g.rows[z1] == VertexSet.of(g.n, [gg.var_vertex(1, "s1")]).mask
+        assert g.rows[gg.clause_vertex(1, "u3")].bit_count() == 1
+        assert g.rows[gg.var_vertex(1, "v3")].bit_count() == 1
 
     def test_degree_sequence_golden(self):
         # formula (x1) & (not x1): one variable widget wired to two clauses
         gg = build_gadget(CnfFormula(1, ((1,), (-1,))))
-        degrees = sorted(gg.graph.degree(v) for v in range(gg.graph.n))
+        degrees = sorted(row.bit_count() for row in gg.graph.rows)
         # widget: v1=3 v2=2 v3=1 s1=s2=5 s3=4 z1=z2=1, w1=w2=4+1 wired;
         # clauses: u1=2 u2=2 u3=1 each
         assert degrees == [1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 4, 5, 5, 5, 5]
@@ -152,10 +152,10 @@ class TestBuildGadget:
         f = CnfFormula(2, ((1, -2), (2,)))
         gg = build_gadget(f)
         g = gg.graph
-        assert g.adjacent(gg.clause_vertex(1, "u1"), gg.var_vertex(1, "w1"))
-        assert g.adjacent(gg.clause_vertex(1, "u1"), gg.var_vertex(2, "w2"))
-        assert g.adjacent(gg.clause_vertex(2, "u1"), gg.var_vertex(2, "w1"))
-        assert not g.adjacent(gg.clause_vertex(2, "u1"), gg.var_vertex(1, "w1"))
+        assert g.rows[gg.clause_vertex(1, "u1")] >> gg.var_vertex(1, "w1") & 1
+        assert g.rows[gg.clause_vertex(1, "u1")] >> gg.var_vertex(2, "w2") & 1
+        assert g.rows[gg.clause_vertex(2, "u1")] >> gg.var_vertex(2, "w1") & 1
+        assert not g.rows[gg.clause_vertex(2, "u1")] >> gg.var_vertex(1, "w1") & 1
 
     def test_labels_bijective(self):
         gg = build_gadget(CnfFormula(2, ((1, 2),)))
@@ -198,7 +198,7 @@ class TestBuildGadget:
         rng = random.Random(5)
         for f in _random_formulas(rng, 5):
             g = build_gadget(f).graph
-            assert g.is_twin_free()
+            assert is_admissible(g, CodeKind.FD)  # twin-free
             assert not g.isolated_vertices()
 
     def test_forced_vertices_include_widget_anchors(self):
@@ -280,7 +280,7 @@ class TestAssignmentFromCode:
         f = CnfFormula(1, ((1,),))
         gg = build_gadget(f)
         code = code_from_assignment(gg, (True,), CodeKind.FTD)
-        both = code | VertexSet.of(gg.graph.n, [gg.var_vertex(1, "w2")])
+        both = VertexSet(gg.graph.n, code.mask | 1 << gg.var_vertex(1, "w2"))
         assert assignment_from_code(gg, both) is None
 
     def test_non_separating_set_gives_none(self):
