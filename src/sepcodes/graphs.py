@@ -279,6 +279,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"line {lineno}: negative header values")
             check_edge_count(header[1])
             continue
+        if len(edges) == header[1]:
+            raise GraphFormatError(f"line {lineno}: more edges than the header announced ({header[1]})")
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected edge 'u v'")
         try:

@@ -23,6 +23,15 @@ and the branching edge each take a few whole-set operations, and banning
 v is one borrow-chain decrement on ``inc[v] & live``.  The search is an
 iterative depth-first loop over an explicit stack.
 
+The set-up works on whole ints where the input is dense.  The redundancy
+filter buckets kept edges by lowest bit; a bucket of at least
+``PACK_RATIO * (n + 1)`` edges is also held as one int of (n + 1)-bit
+lanes with a guard bit on top of each, so an edge is tested against the
+whole bucket by one subtraction (see :func:`_minimal_masks`).  When the
+mean edge size exceeds n / 10, ``inc`` is read from one string of the
+edges' binary digits (see :func:`_incidence`).  Sparse inputs keep the
+per-element loops, which are faster there.
+
 No live edge ever runs out of allowed members, so the search needs no
 dead-edge test: the root has no empty edge, the branching edge E has the
 least allowed count c among the live edges, and child i bans only
@@ -68,6 +77,10 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 # Entry limit of min_cover's transposition table; a full table is cleared.
 TABLE_LIMIT = 1024
+
+# _minimal_masks packs a bucket of kept masks into lanes once it holds
+# PACK_RATIO * (n + 1) of them; below that its element loop is faster.
+PACK_RATIO = 1
 
 
 class EmptyHyperedgeError(ValueError):
@@ -123,26 +136,57 @@ class CoverResult:
     nodes_explored: int
 
 
-def _minimal_masks(masks: tuple[int, ...]) -> list[int]:
+def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
     """Indices-preserving inclusion-minimal filter with deduplication.
 
-    Keeps exactly the inclusion-minimal masks, first occurrence wins on
-    duplicates, and returns them in their original relative order.  The
-    empty mask is contained in every mask, so if one is present it is the
-    only survivor.  Kept masks are bucketed by their lowest bit: a kept
-    subset of m has its lowest bit inside m, so only those buckets are
-    searched.
+    Keeps exactly the inclusion-minimal masks (over vertices 0..n-1), first
+    occurrence wins on duplicates, and returns them in their original
+    relative order.  The empty mask is contained in every mask, so if one
+    is present it is the only survivor.  Masks are tried by size, ties by
+    index.  Kept masks are bucketed by their lowest bit: a kept subset of
+    m has its lowest bit inside m, so only those buckets are searched.
+
+    A bucket that reaches ``PACK_RATIO * (n + 1)`` masks is also packed
+    into one int ``B`` of (n + 1)-bit lanes, mask j in lane j, and each
+    mask it keeps later becomes its next lane.  The guard ``G`` has bit n
+    of each lane set.  With ``rep`` the complement of m (within n bits)
+    copied into every lane, a lane of ``B & rep`` is zero exactly when its
+    mask lies inside m, and only then does ``G - (B & rep)`` keep that
+    lane's guard bit; no lane value reaches 2^n, so no borrow crosses a
+    lane.  So ``(G - (B & rep)) & G`` tests the whole bucket at once.
+    Shorter buckets keep the element loop, which stops at the first subset
+    it meets.  Dense hypergraphs fill buckets many times longer than n;
+    on paths and cycles they stay within about 2n, and while no bucket is
+    packed a mask pays one int test, and a kept mask one length test,
+    beyond the element loop.
     """
     if 0 in masks:
         return [0]
-    order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i))
+    # sorted() is stable, so equal sizes stay in index order.
+    order = sorted(range(len(masks)), key=[m.bit_count() for m in masks].__getitem__)
     kept_idx: list[int] = []
     by_low: dict[int, list[int]] = {}
+    lanes: dict[int, tuple[int, int]] = {}  # lowest bit -> (B, G) of its packed bucket
+    packed = 0  # the lowest bits whose buckets are packed
+    limit = PACK_RATIO * (n + 1)
+    full = (1 << n) - 1
+    ones = 0  # bit 0 of every lane of the longest packed bucket
     for i in order:
         m = masks[i]
         outside = ~m
         rest = m
         dominated = False
+        hit = m & packed  # lowest bits of m whose buckets are packed
+        if hit:
+            rest ^= hit
+            rep = (full ^ m) * ones
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                packed_b, guard = lanes[low]
+                if (guard - (packed_b & rep)) & guard:
+                    dominated = True
+                    break
         while rest and not dominated:
             low = rest & -rest
             rest ^= low
@@ -152,7 +196,19 @@ def _minimal_masks(masks: tuple[int, ...]) -> list[int]:
                     break
         if not dominated:
             kept_idx.append(i)
-            by_low.setdefault(m & -m, []).append(m)
+            low = m & -m
+            bucket = by_low.setdefault(low, [])
+            bucket.append(m)
+            if len(bucket) >= limit:  # pack the bucket, or add m as its next lane
+                packed_b, guard = lanes.get(low, (0, 0))
+                k = guard.bit_length()
+                for km in bucket[k // (n + 1):]:
+                    packed_b |= km << k
+                    guard |= 1 << k + n
+                    k += n + 1
+                lanes[low] = packed_b, guard
+                packed |= low
+                ones = max(ones, guard >> n)
     return [masks[i] for i in sorted(kept_idx)]
 
 
@@ -161,11 +217,22 @@ def remove_redundant(h: Hypergraph) -> Hypergraph:
 
     The result has exactly the same covers as the input.
     """
-    return Hypergraph(h.n, _minimal_masks(h.edges))
+    return Hypergraph(h.n, _minimal_masks(h.n, h.edges))
 
 
-def _incidence(n: int, masks: Sequence[int]) -> list[int]:
-    """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i]."""
+def _incidence(n: int, masks: Sequence[int], counts: Sequence[int]) -> list[int]:
+    """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i].
+
+    ``counts[i]`` is the size of masks[i].  When the mean size exceeds
+    n / 10, the masks are written out as one string of n binary digits
+    each, last mask first, so that every n-th digit from position
+    n - 1 - v spells ``inc[v]`` in binary, read by one ``int(_, 2)``.
+    Otherwise each mask's members are walked.
+    """
+    if 10 * sum(counts) > n * len(masks):
+        top = 1 << n
+        digits = "".join([bin(m | top)[3:] for m in reversed(masks)])
+        return [int(digits[j::n], 2) for j in range(n - 1, -1, -1)]
     inc = [0] * n
     for i, m in enumerate(masks):
         bit = 1 << i
@@ -230,8 +297,8 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     """
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    masks = _minimal_masks(h.edges)
-    inc = _incidence(h.n, masks)
+    masks = _minimal_masks(h.n, h.edges)
+    inc = _incidence(h.n, masks, [m.bit_count() for m in masks])
     live = (1 << len(masks)) - 1
     chosen = _greedy_mask(inc, live)
     size = chosen.bit_count()
@@ -260,8 +327,9 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
         raise ValueError(f"node budget must be non-negative, got {budget}")
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    masks = _minimal_masks(h.edges)
-    inc = _incidence(h.n, masks)
+    masks = _minimal_masks(h.n, h.edges)
+    counts = [m.bit_count() for m in masks]
+    inc = _incidence(h.n, masks, counts)
     best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
     best_size = best_mask.bit_count()
     nodes = 0
@@ -272,7 +340,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     # not yet hit by chosen, and the bit-sliced count of each live edge's
     # allowed (unbanned) members.  Popping the last-pushed child first
     # visits nodes in the preorder of the recursive search.
-    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices([m.bit_count() for m in masks]))]
+    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices(counts))]
     while stack and nodes <= budget:
         chosen, count, banned, live, planes = stack.pop()
         if planes is None:  # close marker: the subtree above it is finished

@@ -136,6 +136,12 @@ def reference_minimal_masks(masks: tuple[int, ...]) -> list[int]:
     return [masks[i] for i in sorted(kept_idx)]
 
 
+def reference_incidence(n: int, masks: Sequence[int]) -> list[int]:
+    """Transposed bitsets by membership tests: bit i of ``inc[v]`` is set
+    iff vertex v is in masks[i]."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+
+
 def reference_packing_lower_bound(masks: list[int]) -> int:
     """Greedy count of pairwise-disjoint masks; a lower bound on the cover."""
     used = 0
@@ -272,8 +278,9 @@ def reference_table_min_cover(h: Hypergraph, budget: int | None = None) -> Cover
         budget = DEFAULT_NODE_BUDGET
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    masks = _minimal_masks(h.edges)
-    inc = _incidence(h.n, masks)
+    masks = _minimal_masks(h.n, h.edges)
+    counts = [m.bit_count() for m in masks]
+    inc = _incidence(h.n, masks, counts)
     best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
     best_size = best_mask.bit_count()
     nodes = 0
@@ -284,7 +291,7 @@ def reference_table_min_cover(h: Hypergraph, budget: int | None = None) -> Cover
     # not yet hit by chosen, and the bit-sliced count of each live edge's
     # allowed (unbanned) members.  Popping the last-pushed child first
     # visits nodes in the preorder of the recursive search.
-    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices([m.bit_count() for m in masks]))]
+    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices(counts))]
     while stack:
         chosen, count, banned, live, planes = stack.pop()
         if planes is None:  # close marker: the subtree above it is finished

@@ -105,6 +105,12 @@ class TestSolve:
         assert run_cli(*command, str(path))[0] == 1
         assert message in capsys.readouterr().err
 
+    def test_edge_lines_past_the_header_count(self, tmp_path, capsys):
+        path = tmp_path / "long.edges"
+        path.write_text("3 1\n" + "0 1\n" * 100_000, encoding="utf-8")
+        assert run_cli("solve", str(path), "--kind", "fd")[0] == 1
+        assert "line 3: more edges than the header announced (1)" in capsys.readouterr().err
+
     def test_hypergraph_vertex_limit(self, capsys):
         for argv in (("solve", "--family", "path:2001", "--kind", "ftd"),
                      ("hypergraph", "--family", "path:2001", "--kind", "fd")):

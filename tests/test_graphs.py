@@ -352,6 +352,14 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError, match="announced"):
             parse_edge_list("3 2\n0 1\n")
 
+    def test_edge_lines_past_the_header_count_refused(self):
+        # refused at the first edge line past m: the extra edges are never
+        # held, and the malformed last line is never read
+        text = "3 1\n" + "0 1\n" * 100_000 + "x\n"
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 3: more edges than the header announced \(1\)$"):
+            parse_edge_list(text)
+
     def test_bad_token_reports_line(self):
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_edge_list("3 1\n0 x\n")

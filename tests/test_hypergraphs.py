@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from sepcodes import (
 )
 
 from sepcodes import hypergraphs
+from sepcodes.codes import is_admissible, solver_hypergraph
 from sepcodes.families import graph_from_spec_string
 from sepcodes.hypergraphs import _greedy_mask, _incidence, _minimal_masks
 
@@ -35,6 +37,7 @@ from conftest import (
     random_subset,
     random_twin_free_graph,
     reference_greedy_mask,
+    reference_incidence,
     reference_min_cover,
     reference_minimal_masks,
     reference_packing_lower_bound,
@@ -365,12 +368,13 @@ class TestKernelMatchesReference:
         rng = random.Random(62)
         for _ in range(400):
             h = awkward_hypergraph(rng)
-            assert _minimal_masks(h.edges) == reference_minimal_masks(h.edges), h.edges
+            assert _minimal_masks(h.n, h.edges) == reference_minimal_masks(h.edges), h.edges
             if h.has_empty_edge():
                 continue
             full = (1 << len(h.edges)) - 1
             want = reference_greedy_mask(h.n, h.edges)
-            assert _greedy_mask(_incidence(h.n, h.edges), full) == want, h.edges
+            counts = [m.bit_count() for m in h.edges]
+            assert _greedy_mask(_incidence(h.n, h.edges, counts), full) == want, h.edges
             # greedy_cover runs greedy and packing on the reduced edges
             reduced = reference_minimal_masks(h.edges)
             want = reference_greedy_mask(h.n, reduced)
@@ -379,8 +383,8 @@ class TestKernelMatchesReference:
             assert (res.witness.mask, res.optimal) == (want, want.bit_count() == bound)
 
     def test_empty_masks_leave_one(self):
-        assert _minimal_masks((0b11, 0, 0b1, 0)) == [0]
-        assert _minimal_masks(()) == []
+        assert _minimal_masks(2, (0b11, 0, 0b1, 0)) == [0]
+        assert _minimal_masks(0, ()) == []
 
     @pytest.mark.parametrize("spec, kind, nodes", [
         ("cycle:24", CodeKind.FD, 599),
@@ -471,6 +475,112 @@ class TestNodeForNode:
         assert {edges for _, edges in sizes} == {794}
         assert max(held for held, _ in sizes) == 794
         assert any(after < before for (before, _), (after, _) in zip(sizes, sizes[1:]))
+
+
+def packed_probes(n: int, masks: tuple[int, ...], kept: list[int]) -> int:
+    """How many masks _minimal_masks tests against a packed bucket: those
+    tried after the kept masks of some lowest bit reach the packing length,
+    and holding that bit.  ``kept`` is the filter's output."""
+    first: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        first.setdefault(m, i)
+    kept_idx = {first[m] for m in kept}
+    limit = hypergraphs.PACK_RATIO * (n + 1)
+    sizes: Counter[int] = Counter()
+    packed = probes = 0
+    for i in sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i)):
+        m = masks[i]
+        probes += bool(m & packed)
+        if i in kept_idx:
+            sizes[m & -m] += 1
+            if sizes[m & -m] >= limit:
+                packed |= m & -m
+    return probes
+
+
+class TestPackedFilter:
+    """Buckets of at least PACK_RATIO * (n + 1) kept masks are tested as
+    packed lanes; the output must stay the reference filter's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [40, 50, 64])
+    def test_dense_gnp_solver_builds(self, n):
+        kinds = (CodeKind.ID, CodeKind.FD, CodeKind.FTD)
+        rng = random.Random(n)
+        g = random_gnp(n, 0.3, rng)
+        while not all(is_admissible(g, k) for k in kinds):
+            g = random_gnp(n, 0.3, rng)
+        for kind in kinds:
+            masks = solver_hypergraph(g, kind).edges
+            want = reference_minimal_masks(masks)
+            assert _minimal_masks(n, masks) == want, kind
+            # most masks meet a packed bucket (vertex 0 is in about half)
+            assert packed_probes(n, masks, want) > len(masks) // 4, kind
+
+    def test_duplicates_and_lanes_holding_the_top_vertex(self, monkeypatch):
+        monkeypatch.setattr(hypergraphs, "PACK_RATIO", 1)
+        n = 8  # packing length 9; vertex 7 sits next to each lane's guard bit
+
+        def edge(*vs):
+            return sum(1 << v for v in (0, *vs))
+
+        lanes = [edge(a, b) for a in (1, 2) for b in range(a + 1, 7)][:9]  # {0,1,2} .. {0,2,6}
+        top = edge(3, 7)  # kept after the packing: lane 10, holding vertex 7
+        masks = (lanes[0], lanes[0], *lanes[1:], lanes[8], top, lanes[4],
+                 edge(2, 6, 7),  # its only kept subset is lane 9, the last one packed
+                 edge(5, 6, 7),  # no kept subset
+                 edge(3, 5, 7))  # its only kept subset is lane 10
+        want = [*lanes, top, edge(5, 6, 7)]
+        assert reference_minimal_masks(masks) == want
+        assert _minimal_masks(n, masks) == want
+        # the duplicate of lane 1 meets the element loop (the bucket holds
+        # one mask); those of lanes 9 and 5 and the last four masks meet
+        # the packed bucket
+        assert packed_probes(n, masks, want) == 6
+
+    def test_one_bucket_differential(self, monkeypatch):
+        # every mask holds vertex 0; equal-size masks form an antichain, so
+        # the one bucket outgrows the packing length, and duplicates and
+        # supersets are tried on both sides of it
+        monkeypatch.setattr(hypergraphs, "PACK_RATIO", 1)
+        rng = random.Random(71)
+        probed = 0
+        for _ in range(300):
+            n = rng.randint(6, 11)
+            pool = [1 | sum(1 << v for v in rng.sample(range(1, n), n // 2)) for _ in range(3 * n)]
+            masks = tuple(rng.choice(pool) | (rng.getrandbits(n) if rng.random() < 0.3 else 0)
+                          for _ in range(rng.randint(n, 5 * n)))
+            want = reference_minimal_masks(masks)
+            assert _minimal_masks(n, masks) == want, (n, masks)
+            probed += packed_probes(n, masks, want) > 0
+        assert probed > 100
+
+
+class TestIncidence:
+    def test_both_sides_of_the_density_rule(self):
+        rng = random.Random(13)
+        sides = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            size = rng.choice((1, n // 10 + 1, n))  # mean size below n / 10, or not
+            masks = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, size)))
+                     for _ in range(rng.randint(1, 60))]
+            counts = [m.bit_count() for m in masks]
+            sides[10 * sum(counts) > n * len(masks)] += 1
+            assert _incidence(n, masks, counts) == reference_incidence(n, masks), (n, masks)
+        assert min(sides[True], sides[False]) > 50
+
+    @pytest.mark.parametrize("n, masks", [
+        (0, []),
+        (0, [0]),
+        (5, []),
+        (5, [0b10000]),  # dense: one member in five
+        (5, [0b11111, 0b10000, 0b10001]),
+        (40, [1 << 39, 1]),  # sparse, vertex n - 1 included
+        (3, [0b100] * 7),
+    ])
+    def test_edge_cases(self, n, masks):
+        counts = [m.bit_count() for m in masks]
+        assert _incidence(n, masks, counts) == reference_incidence(n, masks)
 
 
 def _stack_depth() -> int:
