@@ -273,9 +273,7 @@ def _cmd_relations(args) -> tuple[dict, list[str], int]:
     lines.append(f"checks: {sum(c['holds'] for c in checks)}/{len(checks)} hold")
     for c in checks:
         lines.append(f"  [{'ok' if c['holds'] else 'VIOLATION'}] {c['name']}: {c['detail']}")
-    exhausted = any(
-        entry.get("admissible") and not entry.get("optimal") for entry in numbers.values()
-    )
+    exhausted = any(e.get("admissible") and not e.get("optimal") for e in numbers.values())
     return body, lines, EXIT_BUDGET if exhausted else EXIT_OK
 
 
@@ -392,10 +390,8 @@ def _cmd_hypergraph(args) -> tuple[dict, list[str], int]:
 
 def _cmd_family(args) -> tuple[dict, list[str], int]:
     g, spec = _parsed(families.graph_from_spec_string, args.spec)
-    formulas: dict[str, int | None] = {}
-    if spec is not None:
-        for kind in codes.CodeKind:
-            formulas[kind.value] = families.formula_x_number(spec, kind)
+    formulas = {} if spec is None else {
+        kind.value: families.formula_x_number(spec, kind) for kind in codes.CodeKind}
     rows = format_edge_list(g).splitlines()
     body = {"spec": args.spec, "graph": {"vertices": g.n, "edges": g.num_edges},
             "edge_list": rows, "known_numbers": formulas}
@@ -403,8 +399,7 @@ def _cmd_family(args) -> tuple[dict, list[str], int]:
     lines.extend("  " + row for row in rows)
     if formulas:
         lines.append("known X-numbers:")
-        for name, value in formulas.items():
-            lines.append(f"  {name}: {value if value is not None else '-'}")
+        lines.extend(f"  {name}: {'-' if value is None else value}" for name, value in formulas.items())
     return body, lines, EXIT_OK
 
 

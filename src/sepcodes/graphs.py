@@ -58,12 +58,16 @@ def check_edge_count(m: int) -> None:
         raise GraphFormatError(f"edge count {m} exceeds the limit of {MAX_EDGES}")
 
 
-def bit_ids(mask: int) -> Iterator[int]:
-    """The set bits of a non-negative int, ascending."""
+def bit_ids(mask: int) -> list[int]:
+    """The set bits of a non-negative int, as an ascending list.  The walk
+    clears the top bit, which shortens the int; a low-bit walk does not."""
+    ids = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        ids.append(top)
+        mask ^= 1 << top
+    ids.reverse()
+    return ids
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,7 +112,7 @@ class VertexSet:
         return 0 <= v < self.n and self.mask >> v & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        return bit_ids(self.mask)
+        return iter(bit_ids(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -117,7 +121,7 @@ class VertexSet:
         return self.mask != 0
 
     def sorted_ids(self) -> list[int]:
-        return list(self)
+        return bit_ids(self.mask)
 
     def __repr__(self) -> str:
         return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"

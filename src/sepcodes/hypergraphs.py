@@ -27,10 +27,10 @@ The set-up works on whole ints where the input is dense.  The redundancy
 filter buckets kept edges by lowest bit; a bucket of at least
 ``PACK_RATIO * (n + 1)`` edges is also held as one int of (n + 1)-bit
 lanes with a guard bit on top of each, so an edge is tested against the
-whole bucket by one subtraction (see :func:`_minimal_masks`).  When the
-mean edge size exceeds n / 10, ``inc`` is read from one string of the
-edges' binary digits (see :func:`_incidence`).  Sparse inputs keep the
-per-element loops, which are faster there.
+whole bucket by one subtraction (see :func:`_minimal_masks`).  The count
+planes, and ``inc`` when the mean edge size exceeds n / 10, are read from
+one string of binary digits (see :func:`_transpose`).  Sparse inputs keep
+the per-element loops, which are faster there.
 
 No live edge ever runs out of allowed members, so the search needs no
 dead-edge test: the root has no empty edge, the branching edge E has the
@@ -112,8 +112,8 @@ class Hypergraph:
 
     def dump_lines(self) -> list[str]:
         """Canonical dump: one line per edge, ids ascending, edges lex-sorted."""
-        rows = sorted(list(bit_ids(m)) for m in self.edges)
-        return [" ".join(map(str, row)) for row in rows]
+        ids = [str(v) for v in range(self.n)]
+        return [" ".join(map(ids.__getitem__, row)) for row in sorted(map(bit_ids, self.edges))]
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, edges={len(self.edges)})"
@@ -220,19 +220,22 @@ def remove_redundant(h: Hypergraph) -> Hypergraph:
     return Hypergraph(h.n, _minimal_masks(h.n, h.edges))
 
 
+def _transpose(width: int, values: Sequence[int]) -> list[int]:
+    """Bit i of ``result[j]`` is bit j of values[i], for j < width.  The
+    values are written as one string of width binary digits each, last
+    value first; every width-th digit from position width - 1 - j spells
+    ``result[j]``, read by one ``int(_, 2)``.  Needs values if width > 0."""
+    top = 1 << width
+    digits = "".join([bin(v | top)[3:] for v in reversed(values)])
+    return [int(digits[j::width], 2) for j in range(width - 1, -1, -1)]
+
+
 def _incidence(n: int, masks: Sequence[int], counts: Sequence[int]) -> list[int]:
     """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i].
-
-    ``counts[i]`` is the size of masks[i].  When the mean size exceeds
-    n / 10, the masks are written out as one string of n binary digits
-    each, last mask first, so that every n-th digit from position
-    n - 1 - v spells ``inc[v]`` in binary, read by one ``int(_, 2)``.
-    Otherwise each mask's members are walked.
-    """
+    ``counts[i]`` is the size of masks[i]; above a mean size of n / 10 this
+    is :func:`_transpose` of the masks, else each mask's members are walked."""
     if 10 * sum(counts) > n * len(masks):
-        top = 1 << n
-        digits = "".join([bin(m | top)[3:] for m in reversed(masks)])
-        return [int(digits[j::n], 2) for j in range(n - 1, -1, -1)]
+        return _transpose(n, masks)
     inc = [0] * n
     for i, m in enumerate(masks):
         bit = 1 << i
@@ -308,11 +311,7 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
 
 def _bit_slices(counts: list[int]) -> list[int]:
     """Planes over edge indices: bit i of plane j is bit j of counts[i]."""
-    planes = [0] * max(counts, default=0).bit_length()
-    for i, c in enumerate(counts):
-        for j in bit_ids(c):
-            planes[j] |= 1 << i
-    return planes
+    return _transpose(max(counts, default=0).bit_length(), counts)
 
 
 def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:

@@ -30,7 +30,7 @@ from sepcodes import (
 )
 from sepcodes import hypergraphs
 from sepcodes.codes import FAMILIES, Nbhd
-from sepcodes.graphs import check_edge_count, check_vertex_count
+from sepcodes.graphs import bit_ids, check_edge_count, check_vertex_count
 from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
 from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS
 
@@ -140,6 +140,23 @@ def reference_incidence(n: int, masks: Sequence[int]) -> list[int]:
     """Transposed bitsets by membership tests: bit i of ``inc[v]`` is set
     iff vertex v is in masks[i]."""
     return [sum(1 << i for i, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+
+
+def reference_bit_slices(counts: list[int]) -> list[int]:
+    """Count planes by a walk over each count's bits, as built before the
+    string transpose: bit i of plane j is bit j of counts[i]."""
+    planes = [0] * max(counts, default=0).bit_length()
+    for i, c in enumerate(counts):
+        for j in bit_ids(c):
+            planes[j] |= 1 << i
+    return planes
+
+
+def reference_dump_lines(h: Hypergraph) -> list[str]:
+    """Canonical dump through ``str`` per id, as built before the id-string
+    table: one line per edge, ids ascending, edges lex-sorted."""
+    rows = sorted(list(bit_ids(m)) for m in h.edges)
+    return [" ".join(map(str, row)) for row in rows]
 
 
 def reference_packing_lower_bound(masks: list[int]) -> int:

@@ -21,7 +21,7 @@ from sepcodes import (
     random_gnp,
 )
 from sepcodes.codes import FAMILIES, Nbhd, admissibility_failure
-from sepcodes.graphs import MAX_EDGES, MAX_VERTICES
+from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, bit_ids
 
 from conftest import (
     MALFORMED_EDGE_LISTS,
@@ -41,6 +41,28 @@ def cycle(n):
     return generate(FamilySpec(Family.CYCLE, n))
 
 
+class TestBitIds:
+    def test_returns_an_ascending_list(self):
+        ids = bit_ids(0b101101)
+        assert type(ids) is list and ids == [0, 2, 3, 5]
+
+    def test_zero_has_no_ids(self):
+        assert bit_ids(0) == []
+
+    @pytest.mark.parametrize("v", [0, 1999])
+    def test_single_bit(self, v):
+        assert bit_ids(1 << v) == [v]
+
+    def test_matches_a_naive_scan(self):
+        rng = random.Random(43)
+        for _ in range(400):
+            width = rng.choice((1, 2, 63, 64, 65, 300, 2000))
+            mask = rng.getrandbits(width)
+            if rng.random() < 0.5:  # sparse
+                mask &= rng.getrandbits(width) & rng.getrandbits(width)
+            assert bit_ids(mask) == [v for v in range(width) if mask >> v & 1], mask
+
+
 class TestVertexSet:
     def test_of_and_iteration(self):
         s = VertexSet.of(6, [4, 1, 2])
@@ -48,6 +70,13 @@ class TestVertexSet:
         assert len(s) == 3
         assert 2 in s and 0 not in s
         assert frozenset(s) == frozenset({1, 2, 4})
+
+    def test_iterator_starts_at_the_least_id(self):
+        assert next(iter(VertexSet.of(5, [3, 1]))) == 1
+
+    def test_sorted_ids_ascending(self):
+        ids = VertexSet.of(2000, [1999, 7, 0, 64, 63]).sorted_ids()
+        assert ids == [0, 7, 63, 64, 1999] and VertexSet(4).sorted_ids() == []
 
     def test_of_rejects_out_of_range(self):
         with pytest.raises(ValueError):

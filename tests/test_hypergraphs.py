@@ -24,7 +24,7 @@ from sepcodes import (
 from sepcodes import hypergraphs
 from sepcodes.codes import is_admissible, solver_hypergraph
 from sepcodes.families import graph_from_spec_string
-from sepcodes.hypergraphs import _greedy_mask, _incidence, _minimal_masks
+from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
 
 from conftest import (
     brute_force_tau,
@@ -36,6 +36,8 @@ from conftest import (
     random_hypergraph,
     random_subset,
     random_twin_free_graph,
+    reference_bit_slices,
+    reference_dump_lines,
     reference_greedy_mask,
     reference_incidence,
     reference_min_cover,
@@ -273,6 +275,38 @@ class TestDump:
     def test_lines_sorted_lexicographically(self):
         h = hg(4, [2, 3], [0], [0, 1], [])
         assert h.dump_lines() == ["", "0", "0 1", "2 3"]
+
+    def test_ids_sort_as_numbers(self):
+        h = hg(11, [6, 10], [6, 7, 8], [9])
+        assert h.dump_lines() == ["6 7 8", "6 10", "9"]
+
+    def test_matches_the_reference_dump(self):
+        # n = 0, empty and duplicate edges, sparse and dense masks up to
+        # bit 1999, two-digit ids against one-digit ones
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(1200):
+            n = rng.choice((0, 1, 2, 10, 11, 12, 100, 2000))
+            edges: list[int] = []
+            for _ in range(rng.randint(0, 25)):
+                roll = rng.random()
+                if edges and roll < 0.1:
+                    edges.append(rng.choice(edges))
+                    seen["duplicate"] += 1
+                elif not n or roll < 0.2:
+                    edges.append(0)
+                    seen["empty"] += 1
+                elif roll < 0.8:
+                    edges.append(sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(n, 5)))))
+                else:
+                    edges.append(rng.getrandbits(n) & rng.getrandbits(n))
+            if n and rng.random() < 0.5:
+                edges.append(1 << n - 1)
+            seen["bit 1999"] += any(m >> 1999 for m in edges)
+            seen["n = 0"] += not n
+            h = Hypergraph(n, edges)
+            assert h.dump_lines() == reference_dump_lines(h), (n, edges)
+        assert min(seen.values()) > 50, seen
 
 
 def awkward_hypergraph(rng: random.Random) -> Hypergraph:
@@ -581,6 +615,20 @@ class TestIncidence:
     def test_edge_cases(self, n, masks):
         counts = [m.bit_count() for m in masks]
         assert _incidence(n, masks, counts) == reference_incidence(n, masks)
+
+
+class TestBitSlices:
+    def test_matches_the_per_bit_walk(self):
+        rng = random.Random(37)
+        for _ in range(500):
+            h = awkward_hypergraph(rng)
+            for masks in (h.edges, _minimal_masks(h.n, h.edges)):
+                counts = [m.bit_count() for m in masks]
+                assert _bit_slices(counts) == reference_bit_slices(counts), counts
+
+    @pytest.mark.parametrize("counts", [[], [0, 0], [1], [2000, 1, 0, 1023], [7] * 70])
+    def test_edge_cases(self, counts):
+        assert _bit_slices(counts) == reference_bit_slices(counts)
 
 
 def _stack_depth() -> int:
