@@ -220,45 +220,34 @@ def _cmd_relations(args) -> tuple[dict, list[str], int]:
         except codes.NotAdmissibleError as exc:
             numbers[kind] = {"kind": kind.value, "admissible": False, "reason": exc.reason}
 
-    def size_of(kind: codes.CodeKind) -> int | None:
-        entry = numbers[kind]
-        if entry.get("admissible") and entry.get("optimal"):
-            return entry["size"]
-        return None
-
+    # The checks read proven sizes only; an incumbent is no X-number.
+    size = {kind: e["size"] for kind, e in numbers.items() if e.get("optimal")}
     checks: list[dict] = []
 
     def add_check(name: str, holds: bool, detail: str) -> None:
         checks.append({"name": name, "holds": holds, "detail": detail})
 
     for lo, hi, case in codes.KIND_INEQUALITIES:
-        a, b = size_of(lo), size_of(hi)
-        if a is None or b is None:
-            continue
-        add_check(f"{lo.value}<={hi.value}", a <= b, f"{a} <= {b} [{case}]")
+        if lo in size and hi in size:
+            add_check(f"{lo.value}<={hi.value}", size[lo] <= size[hi],
+                      f"{size[lo]} <= {size[hi]} [{case}]")
 
-    fd, ftd = size_of(codes.CodeKind.FD), size_of(codes.CodeKind.FTD)
-    if numbers[codes.CodeKind.FD].get("admissible"):
-        isolated = g.isolated_vertices()
-        if isolated and fd is not None:
-            iso = next(iter(isolated))
-            rest = induced_subgraph(g, (v for v in range(g.n) if v != iso))
-            sub = codes.x_number(rest, codes.CodeKind.FTD, budget)
-            if sub.optimal:
-                add_check("FD(G)=FTD(G-isolated)+1", fd == sub.size + 1,
-                          f"{fd} == {sub.size}+1")
-        elif fd is not None and ftd is not None:
-            add_check("FTD-1<=FD<=FTD", ftd - 1 <= fd <= ftd, f"{ftd}-1 <= {fd} <= {ftd}")
-
-    if numbers[codes.CodeKind.FTD].get("admissible") and ftd is not None:
-        itd, otd = size_of(codes.CodeKind.ITD), size_of(codes.CodeKind.OTD)
-        id_, od = size_of(codes.CodeKind.ID), size_of(codes.CodeKind.OD)
-        ltd = size_of(codes.CodeKind.LTD)
-        if None not in (itd, otd, fd):
-            bound = max(itd, otd, fd)
+    K = codes.CodeKind
+    fd, ftd = size.get(K.FD), size.get(K.FTD)
+    isolated = g.isolated_vertices()
+    if fd is not None and isolated:
+        iso = next(iter(isolated))
+        rest = induced_subgraph(g, (v for v in range(g.n) if v != iso))
+        sub = codes.x_number(rest, K.FTD, budget)
+        if sub.optimal:
+            add_check("FD(G)=FTD(G-isolated)+1", fd == sub.size + 1, f"{fd} == {sub.size}+1")
+    elif fd is not None and ftd is not None:  # a proven FTD means no isolated vertex
+        add_check("FTD-1<=FD<=FTD", ftd - 1 <= fd <= ftd, f"{ftd}-1 <= {fd} <= {ftd}")
+        if size.keys() >= {K.ITD, K.OTD}:
+            bound = max(size[K.ITD], size[K.OTD], fd)
             add_check("FTD>=max(ITD,OTD,FD)", ftd >= bound, f"{ftd} >= {bound}")
-        if None not in (id_, od, ltd, itd, otd, fd):
-            bound = max(id_, od, ltd - 1, itd - 1, otd - 1)
+        if size.keys() >= {K.ID, K.OD, K.LTD, K.ITD, K.OTD}:
+            bound = max(size[K.ID], size[K.OD], size[K.LTD] - 1, size[K.ITD] - 1, size[K.OTD] - 1)
             add_check("FD>=max(ID,OD,LTD-1,ITD-1,OTD-1)", fd >= bound, f"{fd} >= {bound}")
 
     body.update(budget=budget, results=[numbers[k] for k in codes.CodeKind], checks=checks,

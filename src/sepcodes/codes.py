@@ -35,7 +35,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .graphs import Graph, GraphFormatError, VertexSet, bit_ids, first_equal_row_pair
+from .graphs import Graph, GraphFormatError, UniverseMismatchError, VertexSet, bit_ids, first_equal_row_pair
 from .hypergraphs import CoverResult, Hypergraph, min_cover
 
 
@@ -234,7 +234,7 @@ def is_admissible(g: Graph, kind: CodeKind) -> bool:
 def _code_mask(g: Graph, c: VertexSet) -> int:
     """The mask of c, which must live on the vertices of g."""
     if c.n != g.n:
-        raise ValueError(f"code universe {c.n} != graph order {g.n}")
+        raise UniverseMismatchError(f"code universe {c.n} != graph order {g.n}")
     return c.mask
 
 

@@ -154,9 +154,8 @@ def ftd_code_path_cycle(n: int, cyclic: bool) -> VertexSet:
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; vertices of b are shifted up by a.n."""
-    edges = list(a.edges())
-    edges.extend((u + a.n, v + a.n) for u, v in b.edges())
-    return Graph.from_edges(a.n + b.n, edges)
+    check_vertex_count(a.n + b.n)
+    return Graph(a.n + b.n, a.rows + tuple(row << a.n for row in b.rows))
 
 
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:

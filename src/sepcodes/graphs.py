@@ -41,7 +41,7 @@ class GraphFormatError(ValueError):
 
 
 class UniverseMismatchError(ValueError):
-    """Two fixed-universe sets with different universe sizes."""
+    """A fixed-universe set whose universe differs from another set's or a graph's order."""
 
 
 def check_vertex_count(n: int) -> None:

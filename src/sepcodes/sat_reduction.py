@@ -42,7 +42,6 @@ class DimacsError(ValueError):
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
-        self.line = line
 
 
 @dataclass(frozen=True)

@@ -821,6 +821,13 @@ def reference_random_gnp(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def reference_disjoint_union(a: Graph, b: Graph) -> Graph:
+    """Disjoint union rebuilt from both edge lists, b shifted up by a.n."""
+    edges = list(a.edges())
+    edges.extend((u + a.n, v + a.n) for u, v in b.edges())
+    return Graph.from_edges(a.n + b.n, edges)
+
+
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:
     """Rejection-sample a twin-free (and optionally isolate-free) graph.
 

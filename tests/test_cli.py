@@ -139,6 +139,7 @@ class TestSolve:
         wide = tmp_path / "wide.edges"
         wide.write_text("20001 0\n", encoding="utf-8")
         for argv in (("family", "path:20001"),
+                     ("family", "path:20000+k1"),
                      ("verify", str(wide), "--kind", "fd", "--code", "0")):
             assert run_cli(*argv)[0] == 1
             assert "vertex count 20001 exceeds the limit of 20000" in capsys.readouterr().err
@@ -207,6 +208,16 @@ class TestRelations:
         assert sizes["FD"] == 7
         gap = [c for c in report["checks"] if c["name"] == "FD(G)=FTD(G-isolated)+1"]
         assert gap and gap[0]["holds"]
+
+    def test_unproven_sizes_are_not_checked(self):
+        # FD's incumbent 8 equals FTD, so reading it would add FTD-1<=FD<=FTD
+        code, report = run_json("relations", "--family", "cycle:12", "--budget", "20")
+        assert code == 2
+        unproven = {r["kind"] for r in report["results"] if not r["optimal"]}
+        assert unproven == {"FD", "OD"}
+        checks = report["checks"]
+        assert len(checks) == 7 and all(c["holds"] for c in checks)
+        assert not [c["name"] for c in checks if "FD" in c["name"] or "OD" in c["name"]]
 
     def test_inadmissible_kinds_reported(self):
         _, report = run_json("relations", "--family", "path:3")

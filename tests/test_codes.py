@@ -18,6 +18,7 @@ from sepcodes import (
     GraphFormatError,
     KIND_INEQUALITIES,
     NotAdmissibleError,
+    UniverseMismatchError,
     VertexSet,
     build_hypergraph,
     disjoint_union,
@@ -330,9 +331,9 @@ class TestVerifyCode:
     def test_universe_mismatch_raises(self):
         g, c = path(4), VertexSet.of(5, [0, 1, 2, 3])
         for kind in ALL_KINDS:
-            with pytest.raises(ValueError, match="code universe"):
+            with pytest.raises(UniverseMismatchError, match="code universe"):
                 verify_code(g, kind, c)
-        with pytest.raises(ValueError, match="code universe"):
+        with pytest.raises(UniverseMismatchError, match="code universe"):
             is_full_separating(g, c)
 
 

@@ -22,6 +22,7 @@ from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, GraphFormatError
 
 from conftest import (
     graphs_isomorphic,
+    reference_disjoint_union,
     reference_family_check,
     reference_formula_x_number,
     reference_generate,
@@ -218,6 +219,15 @@ class TestDisjointUnion:
     def test_identity_with_empty_graph(self):
         g = generate(spec(Family.PATH, 4))
         assert disjoint_union(g, Graph.from_edges(0, [])) == g
+
+    def test_matches_edge_built_union(self):
+        rng = random.Random(20)
+        k1, empty = Graph.from_edges(1, []), Graph.from_edges(0, [])
+        for _ in range(200):
+            a = random_gnp(rng.randint(0, 9), rng.random(), rng)
+            b = random_gnp(rng.randint(0, 9), rng.random(), rng)
+            for x, y in ((a, b), (b, a), (a, k1), (k1, a), (a, empty), (empty, a)):
+                assert disjoint_union(x, y) == reference_disjoint_union(x, y)
 
     def test_half3_plus_isolated_fd_number(self):
         g = disjoint_union(generate(spec(Family.HALF_GRAPH, 3)), Graph.from_edges(1, []))

@@ -1,10 +1,14 @@
 """Every public name has a caller outside the test suite.
 
-A name in ``sepcodes.__all__`` must be read somewhere in the package
+A name in ``sepcodes.__all__``, and every public function and class
+defined in a package module, must be read somewhere in the package
 (other than ``__init__.py``, which only re-exports), in the benchmark
-under ``bench/``, or in the README's library quick start.  Definitions,
-assignments and imports do not count, only loads, so a name that only
-tests call fails here: such helpers belong in ``tests/conftest.py``.
+under ``bench/``, or in the README's library quick start.  The public
+members of those classes (methods, properties, dataclass fields and
+``self.<attr>`` assignments) must be read there as attributes.
+Definitions, assignments and imports do not count, only loads, so a name
+that only tests call fails here: such helpers belong in
+``tests/conftest.py``, and a field nothing reads should go.
 """
 
 import ast
@@ -14,6 +18,7 @@ import sepcodes
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(sepcodes.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def quick_start() -> str:
@@ -22,24 +27,57 @@ def quick_start() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def loaded_names(source: str) -> set[str]:
-    """Every name and attribute the source reads."""
-    names = set()
+def loads(source: str) -> tuple[set[str], set[str]]:
+    """The names and the attributes the source reads."""
+    names, attributes = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return names, attributes
+
+
+def loaded_names(source: str) -> set[str]:
+    """Every name and attribute the source reads."""
+    names, attributes = loads(source)
+    return names | attributes
+
+
+def outside_reads() -> tuple[set[str], set[str]]:
+    """The names and attributes read by the package, the bench and the quick start."""
+    names, attributes = loads(quick_start())
+    for path in [*MODULES, *(ROOT / "bench").glob("*.py")]:
+        more_names, more_attributes = loads(path.read_text(encoding="utf-8"))
+        names |= more_names
+        attributes |= more_attributes
+    return names, attributes
 
 
 def outside_callers() -> set[str]:
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += (ROOT / "bench").glob("*.py")
-    names = loaded_names(quick_start())
-    for path in files:
-        names |= loaded_names(path.read_text(encoding="utf-8"))
-    return names
+    names, attributes = outside_reads()
+    return names | attributes
+
+
+def public_definitions(source: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The module's public functions and classes, and each public class's
+    public members: methods, properties, annotated fields and the
+    attributes its methods assign on ``self``."""
+    top, members = [], []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        top.append(node.name)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        found = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        found |= {item.target.id for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+        found |= {sub.attr for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                  and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+        members += [(node.name, name) for name in sorted(found) if not name.startswith("_")]
+    return top, members
 
 
 def test_every_export_has_a_caller_outside_tests():
@@ -48,8 +86,27 @@ def test_every_export_has_a_caller_outside_tests():
     assert not uncalled, f"exported but only tests call them: {uncalled}"
 
 
+def test_every_public_definition_has_a_reader_outside_tests():
+    names, attributes = outside_reads()
+    callers = names | attributes
+    unread = []
+    for path in MODULES:
+        top, members = public_definitions(path.read_text(encoding="utf-8"))
+        unread += [f"{path.stem}.{name}" for name in top if name not in callers]
+        unread += [f"{cls}.{name}" for cls, name in members if name not in attributes]
+    assert not unread, f"defined but only tests read them: {unread}"
+
+
 def test_scan_reads_loads_only():
     # a definition, an import or an assignment is not a call; a read is
     source = "from m import a\ndef b(): pass\nc = 1\nd.e(f)\n"
     assert loaded_names(source) == {"d", "e", "f"}
+    assert loads(source) == ({"d", "f"}, {"e"})
     assert {"x_number", "verify_code"} <= loaded_names(quick_start())
+
+
+def test_member_scan_finds_methods_fields_and_self_attributes():
+    source = ("class A:\n    x: int\n    def m(self):\n        self.y = self._z = 1\n"
+              "    def _p(self):\n        pass\nclass _B:\n    def q(self):\n        pass\n"
+              "def f():\n    pass\nv = 1\n")
+    assert public_definitions(source) == (["A", "f"], [("A", "m"), ("A", "x"), ("A", "y")])
