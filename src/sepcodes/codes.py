@@ -32,7 +32,10 @@ Both refuse graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from math import comb
 from typing import Sequence
 
 from .graphs import Graph, GraphFormatError, UniverseMismatchError, VertexSet, bit_ids, first_equal_row_pair
@@ -130,6 +133,39 @@ class CoverCodeMismatchError(RuntimeError):
     """
 
 
+def _trace_bound(g: Graph, kind: CodeKind) -> int:
+    """Degree-budget lower bound on the X-number of g, if g has codes.
+
+    A code C of size k gives distinct non-empty traces N[v] & C (ID, ITD)
+    or N(v) & C to n vertices (n - 1 for FD and OD, the n - k outside C
+    for LD and LTD), of sizes summing to at most the k largest deg(c) (+1
+    if closed).  The most distinct subsets of C within that sum take
+    C(k, s) of each size s = 1, 2, ...; the least k with enough is
+    bisected.  This sharpens 2n/(D+2) for ID (Karpovsky, Chakrabarty and
+    Levitin, 1998) and 2n/(D+1) for OTD (Seo and Slater, 2010), D the
+    maximum degree.
+    """
+    fam = FAMILIES[kind]
+    closed, open_ = fam.adjacent_pairs is _C, fam.nonadjacent_pairs is _O
+    plus = int(closed and not open_)  # ID, ITD: closed traces
+    sizes = sorted((row.bit_count() + plus for row in g.rows), reverse=True)
+    totals = list(accumulate(sizes, initial=0))
+    spare = int(open_ and fam.domination is _C)  # FD, OD: one open trace may be empty
+
+    def enough(k: int) -> bool:
+        need = g.n - (spare if closed or open_ else k)  # LD, LTD: the n - k outside C
+        left = totals[k]
+        for s in range(1, min(k, sizes[0]) + 1):
+            take = min(comb(k, s), left // s)
+            if not take:
+                break
+            need -= take
+            left -= take * s
+        return need <= 0
+
+    return bisect_left(range(g.n), True, key=enough)
+
+
 def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
     """build_hypergraph's edges, of every pair or (near) of the pairs at
     distance at most 2."""
@@ -165,7 +201,7 @@ def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
                 adjacent.append(au ^ adj_rows[v])
             else:
                 nonadjacent.append(nu ^ non_rows[v])
-    return Hypergraph(n, [*rows[fam.domination], *adjacent, *nonadjacent])
+    return Hypergraph(n, [*rows[fam.domination], *adjacent, *nonadjacent], _trace_bound(g, kind))
 
 
 def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
@@ -175,7 +211,8 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     solver reads :func:`solver_hypergraph`.  Edge order is deterministic:
     all neighborhoods by vertex id, then symmetric differences of all
     adjacent pairs in lexicographic order, then of all non-adjacent pairs
-    in lexicographic order.  Non-admissible graphs simply yield a
+    in lexicographic order.  Its ``lower`` is :func:`_trace_bound`.
+    Non-admissible graphs simply yield a
     hypergraph containing an empty hyperedge.  Raises GraphFormatError
     when g has more than MAX_HYPERGRAPH_VERTICES vertices.
     """
@@ -280,7 +317,7 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """:func:`verify_code` behind a guard on the kind, FD or FTD: no faster
     check.  Kept, like :func:`~sepcodes.hypergraphs.greedy_cover`, only
-    while the benchmark calls it (ROADMAP items 1 and 2).
+    while the benchmark calls it (ROADMAP item 1).
 
     Raises ValueError for any other kind.
     """
@@ -319,7 +356,8 @@ def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult
 
     The cover search reads :func:`solver_hypergraph`, whose redundancy
     removal gives the definitional build's edges in the same order, so
-    the search visits the same nodes.  Raises NotAdmissibleError when no
+    the search visits the same nodes; both stop at a cover meeting
+    :func:`_trace_bound`.  Raises NotAdmissibleError when no
     code of this kind exists, GraphFormatError above
     MAX_HYPERGRAPH_VERTICES vertices.  On budget exhaustion the result
     carries the best code found, flagged non-optimal.

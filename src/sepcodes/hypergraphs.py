@@ -59,6 +59,10 @@ strictly better cover, so the incumbents, and the witness of a proven
 search, are those of the search without the table.  A full table
 (``TABLE_LIMIT`` entries) is cleared.
 
+A hypergraph may carry ``lower``, a lower bound on tau: a greedy cover no
+larger returns at once with 0 nodes, and the search stops at the first
+such incumbent, having visited the same nodes (0 stops nothing).
+
 The search is sequential and fully deterministic: the witness is the
 first optimum reached under this fixed order.  A node budget caps the
 search, which runs while ``nodes <= budget``, and ``optimal`` is
@@ -68,7 +72,7 @@ far (never silently truncated) with ``nodes_explored`` = ``budget + 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import VertexSet, bit_ids
@@ -93,11 +97,14 @@ class Hypergraph:
 
     Each hyperedge is an int bitmask: bit v is set iff vertex v belongs to
     it.  Edge order is preserved exactly as constructed, which makes
-    downstream results (witness choice, dumps) deterministic.
+    downstream results (witness choice, dumps) deterministic.  ``lower`` is
+    a known lower bound on the covering number, 0 when none is known; it
+    stops :func:`min_cover` early and takes no part in equality.
     """
 
     n: int
     edges: tuple[int, ...]
+    lower: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -215,9 +222,9 @@ def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
 def remove_redundant(h: Hypergraph) -> Hypergraph:
     """Drop every hyperedge that contains another hyperedge, and duplicates.
 
-    The result has exactly the same covers as the input.
+    The result has exactly the same covers as the input, and its ``lower``.
     """
-    return Hypergraph(h.n, _minimal_masks(h.n, h.edges))
+    return Hypergraph(h.n, _minimal_masks(h.n, h.edges), h.lower)
 
 
 def _transpose(width: int, values: Sequence[int]) -> list[int]:
@@ -296,7 +303,7 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     Flagged optimal only when the greedy size matches the disjoint-packing
     lower bound of the hypergraph.  :func:`min_cover` starts from the same
     greedy cover; this entry point is kept only while the benchmark's
-    greedy probe calls it (ROADMAP items 1 and 2).
+    greedy probe calls it (ROADMAP item 1).
     """
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
@@ -317,7 +324,10 @@ def _bit_slices(counts: list[int]) -> list[int]:
 def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     """Exact minimum cover by branch-and-bound (see module docstring).
 
-    Raises EmptyHyperedgeError if no cover exists, ValueError if budget < 0.
+    A greedy cover no larger than ``h.lower`` returns with 0 nodes; else
+    the search stops at the first incumbent no larger, after the nodes it
+    visits without the bound.  Raises
+    EmptyHyperedgeError if no cover exists, ValueError if budget < 0.
     ``optimal`` is ``nodes_explored <= budget`` (budget + 1 when exhausted).
     """
     if budget is None:
@@ -331,6 +341,9 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     inc = _incidence(h.n, masks, counts)
     best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
     best_size = best_mask.bit_count()
+    lower = h.lower
+    if lower and best_size <= lower:
+        return CoverResult(best_size, VertexSet(h.n, best_mask), True, 0)
     nodes = 0
     table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
     conf: dict[int, int] = {}  # allowed members -> packing conflicts, filled on first use
@@ -366,6 +379,8 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
             if count < best_size:
                 best_size = count
                 best_mask = chosen
+                if count <= lower:
+                    break
             continue
         if (count + 1 >= best_size or count + table.get(live, 0) >= best_size
                 or count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size):
@@ -382,7 +397,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
             # Every child is a leaf at best_size - 1: the first child that
             # covers becomes the incumbent, every other child is cut by the
             # bound.  Visit them in stack order; the marker closes this node.
-            while pick:
+            while pick and best_size > lower:
                 low = pick & -pick
                 pick ^= low
                 nodes += 1
@@ -391,6 +406,8 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 if not live & ~inc[low.bit_length() - 1] and count + 1 < best_size:
                     best_size = count + 1
                     best_mask = chosen | low
+            if best_size <= lower:
+                break
             continue
         children = []
         while True:

@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from sepcodes import build_hypergraph, codes, remove_redundant
+from sepcodes import build_hypergraph, codes, formula_x_number, remove_redundant
 from sepcodes.cli import main, render_json
 from sepcodes.families import graph_from_spec_string
 
@@ -40,6 +40,19 @@ class TestSolve:
         code, report = run_json("solve", "--family", "cycle:3", "--kind", "fd")
         assert code == 3
         assert report["error"]["type"] == "not_admissible"
+
+    @pytest.mark.parametrize("spec, kind, size",
+                             [("path:500", "ftd", 334), ("cycle:200", "id", 100)])
+    def test_proven_at_the_root_by_the_trace_bound(self, spec, kind, size):
+        # the greedy cover meets the degree-budget trace bound, so no search
+        # runs; a search of 50,000 nodes proves neither
+        code, report = run_json("solve", "--family", spec, "--kind", kind, "--budget", "50000")
+        assert code == 0
+        result = report["results"][0]
+        assert (result["size"], result["optimal"], result["nodes"]) == (size, True, 0)
+        _, family_spec = graph_from_spec_string(spec)
+        if kind == "ftd":
+            assert size == formula_x_number(family_spec, codes.CodeKind.FTD)
 
     def test_budget_exhaustion_exit_code(self):
         code, report = run_json(
@@ -210,8 +223,8 @@ class TestRelations:
         assert gap and gap[0]["holds"]
 
     def test_unproven_sizes_are_not_checked(self):
-        # FD's incumbent 8 equals FTD, so reading it would add FTD-1<=FD<=FTD
-        code, report = run_json("relations", "--family", "cycle:12", "--budget", "20")
+        # FD's incumbent 14 equals FTD, so reading it would add FTD-1<=FD<=FTD
+        code, report = run_json("relations", "--family", "cycle:20", "--budget", "20")
         assert code == 2
         unproven = {r["kind"] for r in report["results"] if not r["optimal"]}
         assert unproven == {"FD", "OD"}

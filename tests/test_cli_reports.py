@@ -160,7 +160,7 @@ checks: 5/5 hold
     {
       "admissible": true,
       "kind": "ID",
-      "nodes": 1,
+      "nodes": 0,
       "optimal": true,
       "size": 1,
       "wall_ms": 0,
@@ -176,7 +176,7 @@ checks: 5/5 hold
     {
       "admissible": true,
       "kind": "LD",
-      "nodes": 1,
+      "nodes": 0,
       "optimal": true,
       "size": 1,
       "wall_ms": 0,

@@ -16,6 +16,7 @@ from sepcodes import (
     FamilySpec,
     Graph,
     GraphFormatError,
+    Hypergraph,
     KIND_INEQUALITIES,
     NotAdmissibleError,
     UniverseMismatchError,
@@ -40,6 +41,7 @@ from sepcodes import (
 from sepcodes import codes
 from sepcodes.codes import (
     MAX_HYPERGRAPH_VERTICES,
+    _trace_bound,
     admissibility_failure,
     far_pairs_redundant,
     solver_hypergraph,
@@ -49,6 +51,7 @@ from sepcodes.sat_reduction import CnfFormula, build_gadget
 
 from conftest import (
     FULL_SEPARATION_ORACLES,
+    brute_force_tau,
     complete_graph,
     distance2_full_code,
     exhaustive_small_formulas,
@@ -203,6 +206,14 @@ class TestSolverHypergraph:
                     assert near == build_hypergraph(g, kind)
                 else:
                     assert len(near.edges) == g.n + near_pairs
+
+    def test_builds_carry_the_trace_bound(self):
+        # so a search stops alike on either build, reduced or not
+        for g in family_graphs():
+            for kind in ALL_KINDS:
+                h = build_hypergraph(g, kind)
+                assert (h.lower == solver_hypergraph(g, kind).lower == remove_redundant(h).lower
+                        == _trace_bound(g, kind)), (kind, format_edge_list(g))
 
     def test_far_pairs_redundant_for_all_but_fd_and_od(self):
         assert [k for k in ALL_KINDS if not far_pairs_redundant(k)] == [CodeKind.FD, CodeKind.OD]
@@ -536,6 +547,51 @@ class TestXNumber:
                                check=True).stdout
                 for seed in ("1", "2")]
         assert outs[0] == outs[1] and outs[0].startswith("24 ")
+
+
+class TestTraceBound:
+    """The degree-budget trace bound never exceeds the X-number, and meets
+    the closed forms on paths and cycles exactly where the counting allows."""
+
+    def test_at_most_tau_on_every_graph_up_to_five_vertices(self):
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                for kind in ALL_KINDS:
+                    if is_admissible(g, kind):
+                        tau = brute_force_tau(build_hypergraph(g, kind))
+                        assert _trace_bound(g, kind) <= tau, (kind, format_edge_list(g))
+
+    def test_at_most_the_proven_number_on_seeded_twin_free_graphs(self):
+        # searched without the bound, which an unsound bound could stop early
+        rng = random.Random(74)
+        tight = 0
+        for _ in range(200):
+            g = random_twin_free_graph(rng, rng.randint(4, 11))
+            for kind in ALL_KINDS:
+                res = min_cover(Hypergraph(g.n, solver_hypergraph(g, kind).edges))
+                bound = _trace_bound(g, kind)
+                assert res.optimal and bound <= res.size, (kind, format_edge_list(g))
+                tight += bound == res.size
+        assert tight >= 700  # 741 of the 1,600
+
+    def test_closed_forms_on_paths_and_cycles(self):
+        # equal to the closed form, or exactly one below it, so an
+        # off-by-one in the trace sizes or in the traces needed shows
+        for n in range(4, 80):
+            low = n == 4 or n % 6 in (3, 4)
+            want = formula_x_number(FamilySpec(Family.PATH, n), CodeKind.FTD) - low
+            assert _trace_bound(path(n), CodeKind.FTD) == want, n
+        for n in range(5, 80):
+            want = formula_x_number(FamilySpec(Family.CYCLE, n), CodeKind.OTD) - (n % 6 == 4)
+            assert _trace_bound(cycle(n), CodeKind.OTD) == want, n
+        # gamma^ID(C_n) = n/2 for even n >= 6, proven here up to 24
+        for n in range(6, 80, 2):
+            assert _trace_bound(cycle(n), CodeKind.ID) == n // 2, n
+            if n <= 24:
+                res = min_cover(Hypergraph(n, solver_hypergraph(cycle(n), CodeKind.ID).edges))
+                assert res.optimal and res.size == n // 2, n
 
 
 class TestKnownInequalities:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from collections import Counter
@@ -68,6 +69,7 @@ class TestConstruction:
         assert h == Hypergraph(3, [0b011, 0b100])
         assert hash(h) == hash(Hypergraph(3, (0b011, 0b100)))
         assert h != Hypergraph(4, [0b011, 0b100])
+        assert h == Hypergraph(3, [0b011, 0b100], lower=2)  # a bound is not part of the value
         assert repr(h) == "Hypergraph(n=3, edges=2)"
 
 
@@ -358,11 +360,17 @@ FAMILY_SPECS = ("path:18", "path:24", "path:36", "cycle:18", "cycle:24", "cycle:
                 "thick:9", "thick:12", "thick:18")
 
 
+def family_build(spec, kind):
+    """The X-hypergraph of a family graph without its trace bound: the
+    reference engines have no stop, so the engine must search in full."""
+    h = build_hypergraph(graph_from_spec_string(spec)[0], kind)
+    return Hypergraph(h.n, h.edges)
+
+
 def family_hypergraphs():
     for spec in FAMILY_SPECS:
-        g, _ = graph_from_spec_string(spec)
         for kind in CodeKind:
-            yield build_hypergraph(g, kind)
+            yield family_build(spec, kind)
 
 
 class TestKernelMatchesReference:
@@ -388,7 +396,7 @@ class TestKernelMatchesReference:
         cases = [awkward_hypergraph(rng) for _ in range(200)]
         for spec, kind in (("cycle:24", CodeKind.FD), ("cycle:24", CodeKind.OD),
                            ("thick:12", CodeKind.LD), ("path:24", CodeKind.OTD)):
-            cases.append(build_hypergraph(graph_from_spec_string(spec)[0], kind))
+            cases.append(family_build(spec, kind))
         want = [cover_outcome(min_cover, h, None) for h in cases]
         monkeypatch.setattr(hypergraphs, "TABLE_LIMIT", limit)
         got = [cover_outcome(min_cover, h, None) for h in cases]
@@ -421,19 +429,21 @@ class TestKernelMatchesReference:
         assert _minimal_masks(0, ()) == []
 
     @pytest.mark.parametrize("spec, kind, nodes", [
-        ("cycle:24", CodeKind.FD, 599),
-        ("cycle:24", CodeKind.OD, 2371),
+        ("cycle:24", CodeKind.FD, 267),
+        ("cycle:24", CodeKind.OD, 394),
         ("thick:12", CodeKind.LD, 1588),
         ("path:36", CodeKind.ID, 383),
         # far-pair kinds (solver build within distance 2) not pinned above
-        ("path:48", CodeKind.FTD, 173),
-        ("cycle:36", CodeKind.OTD, 1015),
+        ("path:48", CodeKind.FTD, 0),
+        ("cycle:36", CodeKind.OTD, 0),
         ("thick:15", CodeKind.ITD, 43),
         ("thick:12", CodeKind.LTD, 1533),
     ])
     def test_x_number_node_counts_pinned(self, spec, kind, nodes):
-        # the branching order and the table's cuts are fixed (the list-based
-        # engine needs 1093, 4027, 6766 and 1415 nodes on the first four)
+        # the branching order, the table's cuts and the trace bound's stop
+        # are fixed: cycle:24 FD and OD stop at an incumbent meeting the
+        # bound (599 and 2371 nodes without it), path:48 FTD and cycle:36
+        # OTD return the greedy cover at the root (173 and 1015 without it)
         g, _ = graph_from_spec_string(spec)
         res = x_number(g, kind)
         assert res.optimal and res.nodes_explored == nodes
@@ -451,7 +461,7 @@ class TestNodeForNode:
     def test_every_budget(self, spec, kind):
         # 599 and 1588 nodes unbounded; some budgets run out inside a run
         # of leaf children, some right after the one that covers
-        h = remove_redundant(build_hypergraph(graph_from_spec_string(spec)[0], kind))
+        h = remove_redundant(family_build(spec, kind))
         for budget in range(0, 301):
             got = cover_outcome(min_cover, h, budget)
             assert got == cover_outcome(reference_table_min_cover, h, budget), budget
@@ -465,7 +475,7 @@ class TestNodeForNode:
         monkeypatch.setattr(hypergraphs, "TABLE_LIMIT", limit)
         for spec, kind in (("path:18", CodeKind.ITD), ("path:18", CodeKind.OD),
                            ("path:24", CodeKind.FD), ("cycle:24", CodeKind.FD)):
-            h = build_hypergraph(graph_from_spec_string(spec)[0], kind)
+            h = family_build(spec, kind)
             got = cover_outcome(min_cover, h, None)
             assert got == cover_outcome(reference_table_min_cover, h, None), (spec, kind)
 
@@ -509,6 +519,33 @@ class TestNodeForNode:
         assert {edges for _, edges in sizes} == {794}
         assert max(held for held, _ in sizes) == 794
         assert any(after < before for (before, _), (after, _) in zip(sizes, sizes[1:]))
+
+
+class TestLowerBoundStop:
+    """With ``lower`` = tau the search visits the nodes it visits without
+    it, up to the first incumbent of size tau, and stops there."""
+
+    def test_stops_at_the_first_optimal_incumbent(self):
+        rng = random.Random(64)
+        cases = [awkward_hypergraph(rng) for _ in range(300)]
+        for spec in ("path:18", "cycle:18", "thick:6"):
+            cases.extend(family_build(spec, kind) for kind in CodeKind)
+        stopped_early = 0
+        for h in cases:
+            if h.has_empty_edge() or not h.edges:  # no cover, or tau = 0: no bound to pass
+                continue
+            tau = min_cover(h).size
+            # the least budget at which the plain search holds a tau-cover
+            first = next(b for b in itertools.count() if min_cover(h, b).size == tau)
+            stopped_early += 0 < first < min_cover(h).nodes_explored
+            bounded = Hypergraph(h.n, h.edges, lower=tau)
+            for budget in (0, 1, 2, 3, 10, 50, None):
+                plain, stopped = min_cover(h, budget), min_cover(bounded, budget)
+                cap = hypergraphs.DEFAULT_NODE_BUDGET if budget is None else budget
+                assert (stopped.size, stopped.witness) == (plain.size, plain.witness)
+                assert stopped.nodes_explored == min(first, cap + 1), (h.n, h.edges, budget)
+                assert stopped.optimal == (first <= cap)
+        assert stopped_early >= 10
 
 
 def packed_probes(n: int, masks: tuple[int, ...], kept: list[int]) -> int:
