@@ -5,13 +5,14 @@ number tau is the minimum cover size.  The exact solver is a
 branch-and-bound over int bitmasks:
 
 * redundant (non-inclusion-minimal) hyperedges are removed up front,
+  the rest indexed by size, ties in input order,
 * unit hyperedges force their vertex,
 * the branching edge is an uncovered hyperedge of minimum remaining
   cardinality, tried member by member in ascending id order (members
   already tried are banned in later siblings, so subtrees are disjoint),
 * the upper bound starts from the greedy cover,
 * the lower bound is a greedy packing of pairwise-disjoint uncovered
-  hyperedges.
+  hyperedges, smallest edge first.
 
 Search, greedy cover and packing bound share one incidence-bitset kernel:
 ``inc[v]`` is the set of indices of the reduced edges containing vertex v
@@ -144,14 +145,13 @@ class CoverResult:
 
 
 def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
-    """Indices-preserving inclusion-minimal filter with deduplication.
+    """Inclusion-minimal filter with deduplication, smallest edge first.
 
-    Keeps exactly the inclusion-minimal masks (over vertices 0..n-1), first
-    occurrence wins on duplicates, and returns them in their original
-    relative order.  The empty mask is contained in every mask, so if one
-    is present it is the only survivor.  Masks are tried by size, ties by
-    index.  Kept masks are bucketed by their lowest bit: a kept subset of
-    m has its lowest bit inside m, so only those buckets are searched.
+    Keeps the inclusion-minimal masks over vertices 0..n-1, the first of
+    equal ones, in the order tried: by size, ties in input order.  An
+    empty mask lies in every mask, so if present it alone survives.  Kept
+    masks are bucketed by their lowest bit: a kept subset of m has its
+    lowest bit inside m, so only those buckets are searched.
 
     A bucket that reaches ``PACK_RATIO * (n + 1)`` masks is also packed
     into one int ``B`` of (n + 1)-bit lanes, mask j in lane j, and each
@@ -169,7 +169,6 @@ def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
     """
     if 0 in masks:
         return [0]
-    # sorted() is stable, so equal sizes stay in index order.
     order = sorted(range(len(masks)), key=[m.bit_count() for m in masks].__getitem__)
     kept_idx: list[int] = []
     by_low: dict[int, list[int]] = {}
@@ -216,13 +215,14 @@ def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
                 lanes[low] = packed_b, guard
                 packed |= low
                 ones = max(ones, guard >> n)
-    return [masks[i] for i in sorted(kept_idx)]
+    return [masks[i] for i in kept_idx]
 
 
 def remove_redundant(h: Hypergraph) -> Hypergraph:
     """Drop every hyperedge that contains another hyperedge, and duplicates.
 
-    The result has exactly the same covers as the input, and its ``lower``.
+    The result has exactly the same covers as the input, and its ``lower``;
+    its edges go by size, ties in input order, so reduced input is unchanged.
     """
     return Hypergraph(h.n, _minimal_masks(h.n, h.edges), h.lower)
 
@@ -256,8 +256,8 @@ def _incidence(n: int, masks: Sequence[int], counts: Sequence[int]) -> list[int]
 def _packing(masks: Sequence[int], inc: list[int], conf: dict[int, int], live: int, banned: int,
              limit: int) -> int:
     """Greedy count of pairwise-disjoint live edges, restricted to the
-    unbanned vertices and taken lowest index first; a lower bound on the
-    cover.  Counting stops once it reaches ``limit``.
+    unbanned vertices and taken smallest edge first (the filter's order);
+    a lower bound on the cover.  Counting stops once it reaches ``limit``.
 
     ``conf`` maps the allowed members of an edge, banned members or not, to
     the edges sharing one of them; a miss walks them, and the dict is

@@ -119,10 +119,10 @@ def random_hypergraph(rng: random.Random, n: int, m: int, allow_empty: bool = Fa
 
 
 def reference_minimal_masks(masks: tuple[int, ...]) -> list[int]:
-    """Indices-preserving inclusion-minimal filter with deduplication.
+    """Inclusion-minimal filter with deduplication, smallest edge first.
 
     Keeps exactly the inclusion-minimal masks, first occurrence wins on
-    duplicates, and returns them in their original relative order.
+    duplicates, and returns them by size, ties in input order.
     """
     order = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i))
     kept_idx: list[int] = []
@@ -133,7 +133,7 @@ def reference_minimal_masks(masks: tuple[int, ...]) -> list[int]:
             continue  # contains (or equals) an already-kept minimal edge
         kept_idx.append(i)
         kept_masks.append(m)
-    return [masks[i] for i in sorted(kept_idx)]
+    return [masks[i] for i in kept_idx]
 
 
 def reference_incidence(n: int, masks: Sequence[int]) -> list[int]:
@@ -267,8 +267,8 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
 
 def reference_table_packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:
     """Greedy count of pairwise-disjoint live edges, restricted to the
-    unbanned vertices and taken lowest index first; a lower bound on the
-    cover.  Counting stops once it reaches ``limit``."""
+    unbanned vertices and taken smallest edge first (the filter's order);
+    a lower bound on the cover.  Counting stops once it reaches ``limit``."""
     packed = 0
     while live and packed < limit:
         packed += 1

@@ -129,12 +129,34 @@ class TestRemoveRedundant:
             for _ in range(20):
                 c = random_subset(n, rng)
                 assert is_cover(h, c) == is_cover(reduced, c)
+        # reduced builds come back unchanged, edge order and lower bound too
+        for _ in range(20):
+            g = random_twin_free_graph(rng, rng.randint(4, 11))
+            for kind in CodeKind:
+                for build in (build_hypergraph, solver_hypergraph):
+                    reduced = remove_redundant(build(g, kind))
+                    again = remove_redundant(reduced)
+                    assert (again.edges, again.lower) == (reduced.edges, reduced.lower), kind
 
     def test_preserves_min_cover_size(self):
         rng = random.Random(13)
         for _ in range(15):
             h = random_hypergraph(rng, rng.randint(1, 9), rng.randint(1, 10))
             assert min_cover(h).size == min_cover(remove_redundant(h)).size
+
+    def test_smallest_edges_first(self):
+        h = hg(4, [0, 1, 2], [2, 3], [1], [0, 3], [1, 2], [2, 3])
+        assert remove_redundant(h) == hg(4, [1], [2, 3], [0, 3])
+
+    def test_by_size_ties_in_input_order(self):
+        rng = random.Random(14)
+        for _ in range(400):
+            h = awkward_hypergraph(rng)
+            kept = _minimal_masks(h.n, h.edges)
+            assert remove_redundant(h).edges == tuple(kept)
+            first = {m: i for i, m in reversed(list(enumerate(h.edges)))}  # duplicates: first wins
+            keys = [(m.bit_count(), first[m]) for m in kept]
+            assert keys == sorted(keys), h.edges
 
 
 class TestMinCover:
@@ -403,8 +425,8 @@ class TestKernelMatchesReference:
         for h, g, w in zip(cases, got, want):
             assert g[:3] == w[:3], (h.n, h.edges)
         # the limit binds: a table of at most two entries cuts nothing on
-        # these four (599, 2371, 1588 and 85 nodes at the default limit)
-        assert [g[3] for g in got[-4:]] == [1093, 4027, 6766, 271]
+        # these four (343, 1289, 950 and 85 nodes at the default limit)
+        assert [g[3] for g in got[-4:]] == [523, 1799, 6128, 271]
 
     def test_greedy_filter_and_packing(self):
         rng = random.Random(62)
@@ -429,24 +451,52 @@ class TestKernelMatchesReference:
         assert _minimal_masks(0, ()) == []
 
     @pytest.mark.parametrize("spec, kind, nodes", [
-        ("cycle:24", CodeKind.FD, 267),
-        ("cycle:24", CodeKind.OD, 394),
-        ("thick:12", CodeKind.LD, 1588),
-        ("path:36", CodeKind.ID, 383),
+        ("cycle:24", CodeKind.FD, 176),
+        ("cycle:24", CodeKind.OD, 226),
+        ("thick:12", CodeKind.LD, 950),
+        ("path:36", CodeKind.ID, 1),
         # far-pair kinds (solver build within distance 2) not pinned above
         ("path:48", CodeKind.FTD, 0),
         ("cycle:36", CodeKind.OTD, 0),
         ("thick:15", CodeKind.ITD, 43),
-        ("thick:12", CodeKind.LTD, 1533),
+        ("thick:12", CodeKind.LTD, 937),
     ])
     def test_x_number_node_counts_pinned(self, spec, kind, nodes):
         # the branching order, the table's cuts and the trace bound's stop
         # are fixed: cycle:24 FD and OD stop at an incumbent meeting the
-        # bound (599 and 2371 nodes without it), path:48 FTD and cycle:36
+        # bound (343 and 1289 nodes without it), path:48 FTD and cycle:36
         # OTD return the greedy cover at the root (173 and 1015 without it)
         g, _ = graph_from_spec_string(spec)
         res = x_number(g, kind)
         assert res.optimal and res.nodes_explored == nodes
+
+
+class TestSearchOnFilterOrder:
+    """The search reads the filter's smallest-first order.  min_cover
+    filters its input itself and the filter hands reduced input back
+    unchanged, so a reduced build is searched node for node like the build
+    (the bench's traced replay reduces first); and the sizes stay exact."""
+
+    def test_min_cover_same_on_reduced_builds(self):
+        rng = random.Random(66)
+        graphs = [random_twin_free_graph(rng, rng.randint(4, 11)) for _ in range(40)]
+        graphs.extend(graph_from_spec_string(spec)[0] for spec in ("path:24", "cycle:24", "thick:9"))
+        for g in graphs:
+            for kind in CodeKind:
+                for build in (build_hypergraph, solver_hypergraph):
+                    h = build(g, kind)
+                    for budget in (5, None):
+                        assert (cover_outcome(min_cover, h, budget)
+                                == cover_outcome(min_cover, remove_redundant(h), budget)), (kind, budget)
+
+    def test_x_number_is_brute_force_tau(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            g = random_twin_free_graph(rng, rng.randint(4, 11))
+            for kind in CodeKind:
+                if is_admissible(g, kind):
+                    res = x_number(g, kind)
+                    assert res.optimal and res.size == brute_force_tau(build_hypergraph(g, kind)), kind
 
 
 class TestNodeForNode:
@@ -459,7 +509,7 @@ class TestNodeForNode:
 
     @pytest.mark.parametrize("spec, kind", [("cycle:24", CodeKind.FD), ("thick:12", CodeKind.LD)])
     def test_every_budget(self, spec, kind):
-        # 599 and 1588 nodes unbounded; some budgets run out inside a run
+        # 343 and 950 nodes unbounded; some budgets run out inside a run
         # of leaf children, some right after the one that covers
         h = remove_redundant(family_build(spec, kind))
         for budget in range(0, 301):
