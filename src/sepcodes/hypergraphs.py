@@ -24,14 +24,14 @@ and the branching edge each take a few whole-set operations, and banning
 v is one borrow-chain decrement on ``inc[v] & live``.  The search is an
 iterative depth-first loop over an explicit stack.
 
-The set-up works on whole ints where the input is dense.  The redundancy
-filter buckets kept edges by lowest bit; a bucket of at least
-``PACK_RATIO * (n + 1)`` edges is also held as one int of (n + 1)-bit
-lanes with a guard bit on top of each, so an edge is tested against the
-whole bucket by one subtraction (see :func:`_minimal_masks`).  The count
-planes, and ``inc`` when the mean edge size exceeds n / 10, are read from
-one string of binary digits (see :func:`_transpose`).  Sparse inputs keep
-the per-element loops, which are faster there.
+The set-up works on whole ints where the input is dense, that is where
+the mean edge size exceeds n / 10 (see :func:`_dense`).  There the
+redundancy filter transposes the size-ordered edges once and, for each
+kept edge, removes the AND of the incidence rows of its members, which
+is every edge containing it (see :func:`_minimal_masks`); ``inc`` is the
+same transpose of the kept edges.  The count planes are read from one
+string of binary digits on every input (see :func:`_transpose`).  Sparse
+inputs keep the per-element loops, which are faster there.
 
 No live edge ever runs out of allowed members, so the search needs no
 dead-edge test: the root has no empty edge, the branching edge E has the
@@ -82,10 +82,6 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 # Entry limit of min_cover's transposition table; a full table is cleared.
 TABLE_LIMIT = 1024
-
-# _minimal_masks packs a bucket of kept masks into lanes once it holds
-# PACK_RATIO * (n + 1) of them; below that its element loop is faster.
-PACK_RATIO = 1
 
 
 class EmptyHyperedgeError(ValueError):
@@ -149,50 +145,43 @@ def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
 
     Keeps the inclusion-minimal masks over vertices 0..n-1, the first of
     equal ones, in the order tried: by size, ties in input order.  An
-    empty mask lies in every mask, so if present it alone survives.  Kept
-    masks are bucketed by their lowest bit: a kept subset of m has its
-    lowest bit inside m, so only those buckets are searched.
+    empty mask lies in every mask, so if present it alone survives.
 
-    A bucket that reaches ``PACK_RATIO * (n + 1)`` masks is also packed
-    into one int ``B`` of (n + 1)-bit lanes, mask j in lane j, and each
-    mask it keeps later becomes its next lane.  The guard ``G`` has bit n
-    of each lane set.  With ``rep`` the complement of m (within n bits)
-    copied into every lane, a lane of ``B & rep`` is zero exactly when its
-    mask lies inside m, and only then does ``G - (B & rep)`` keep that
-    lane's guard bit; no lane value reaches 2^n, so no borrow crosses a
-    lane.  So ``(G - (B & rep)) & G`` tests the whole bucket at once.
-    Shorter buckets keep the element loop, which stops at the first subset
-    it meets.  Dense hypergraphs fill buckets many times longer than n;
-    on paths and cycles they stay within about 2n, and while no bucket is
-    packed a mask pays one int test, and a kept mask one length test,
-    beyond the element loop.
+    Dense input (see :func:`_dense`) is filtered by supersets: with the
+    masks in that order and ``inc`` their :func:`_transpose`, the AND of
+    ``inc[v]`` over the members v of a kept mask is the set of masks that
+    contain it, later equal ones included, and all but its own are
+    removed.  The AND stops once only the mask's own bit is left; a mask
+    is kept unless an earlier kept one removed it.  Sparse input is
+    filtered by subsets: kept masks are bucketed by their lowest bit, a
+    kept subset of m has its lowest bit inside m, so only those buckets
+    are searched.  On sparse input the superset AND would transpose many
+    edges that are then dropped, and the buckets stay short.
     """
     if 0 in masks:
         return [0]
-    order = sorted(range(len(masks)), key=[m.bit_count() for m in masks].__getitem__)
-    kept_idx: list[int] = []
+    masks = sorted(masks, key=int.bit_count)  # stable: ties keep input order
+    kept: list[int] = []
+    if _dense(n, list(map(int.bit_count, masks))):
+        inc = _transpose(n, masks)
+        removed = 0
+        for j, m in enumerate(masks):
+            bit = 1 << j
+            if removed & bit:
+                continue
+            kept.append(m)
+            supersets = -1
+            while m and supersets != bit:
+                low = m & -m
+                supersets &= inc[low.bit_length() - 1]
+                m ^= low
+            removed |= supersets ^ bit
+        return kept
     by_low: dict[int, list[int]] = {}
-    lanes: dict[int, tuple[int, int]] = {}  # lowest bit -> (B, G) of its packed bucket
-    packed = 0  # the lowest bits whose buckets are packed
-    limit = PACK_RATIO * (n + 1)
-    full = (1 << n) - 1
-    ones = 0  # bit 0 of every lane of the longest packed bucket
-    for i in order:
-        m = masks[i]
+    for m in masks:
         outside = ~m
         rest = m
         dominated = False
-        hit = m & packed  # lowest bits of m whose buckets are packed
-        if hit:
-            rest ^= hit
-            rep = (full ^ m) * ones
-            while hit:
-                low = hit & -hit
-                hit ^= low
-                packed_b, guard = lanes[low]
-                if (guard - (packed_b & rep)) & guard:
-                    dominated = True
-                    break
         while rest and not dominated:
             low = rest & -rest
             rest ^= low
@@ -201,21 +190,9 @@ def _minimal_masks(n: int, masks: Sequence[int]) -> list[int]:
                     dominated = True  # contains (or equals) an already-kept minimal edge
                     break
         if not dominated:
-            kept_idx.append(i)
-            low = m & -m
-            bucket = by_low.setdefault(low, [])
-            bucket.append(m)
-            if len(bucket) >= limit:  # pack the bucket, or add m as its next lane
-                packed_b, guard = lanes.get(low, (0, 0))
-                k = guard.bit_length()
-                for km in bucket[k // (n + 1):]:
-                    packed_b |= km << k
-                    guard |= 1 << k + n
-                    k += n + 1
-                lanes[low] = packed_b, guard
-                packed |= low
-                ones = max(ones, guard >> n)
-    return [masks[i] for i in kept_idx]
+            kept.append(m)
+            by_low.setdefault(m & -m, []).append(m)
+    return kept
 
 
 def remove_redundant(h: Hypergraph) -> Hypergraph:
@@ -237,11 +214,17 @@ def _transpose(width: int, values: Sequence[int]) -> list[int]:
     return [int(digits[j::width], 2) for j in range(width - 1, -1, -1)]
 
 
+def _dense(n: int, counts: Sequence[int]) -> bool:
+    """The set-up kernels' density rule: edges of sizes ``counts`` over n
+    vertices have a mean size above n / 10."""
+    return 10 * sum(counts) > n * len(counts)
+
+
 def _incidence(n: int, masks: Sequence[int], counts: Sequence[int]) -> list[int]:
     """Transposed bitsets: bit i of ``inc[v]`` is set iff vertex v is in masks[i].
-    ``counts[i]`` is the size of masks[i]; above a mean size of n / 10 this
+    ``counts[i]`` is the size of masks[i]; dense input (see :func:`_dense`)
     is :func:`_transpose` of the masks, else each mask's members are walked."""
-    if 10 * sum(counts) > n * len(masks):
+    if _dense(n, counts):
         return _transpose(n, masks)
     inc = [0] * n
     for i, m in enumerate(masks):

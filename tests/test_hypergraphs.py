@@ -598,30 +598,15 @@ class TestLowerBoundStop:
         assert stopped_early >= 10
 
 
-def packed_probes(n: int, masks: tuple[int, ...], kept: list[int]) -> int:
-    """How many masks _minimal_masks tests against a packed bucket: those
-    tried after the kept masks of some lowest bit reach the packing length,
-    and holding that bit.  ``kept`` is the filter's output."""
-    first: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        first.setdefault(m, i)
-    kept_idx = {first[m] for m in kept}
-    limit = hypergraphs.PACK_RATIO * (n + 1)
-    sizes: Counter[int] = Counter()
-    packed = probes = 0
-    for i in sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), i)):
-        m = masks[i]
-        probes += bool(m & packed)
-        if i in kept_idx:
-            sizes[m & -m] += 1
-            if sizes[m & -m] >= limit:
-                packed |= m & -m
-    return probes
+def is_dense(n: int, masks) -> bool:
+    """The set-up kernels' density rule: a mean edge size above n / 10."""
+    return 10 * sum(m.bit_count() for m in masks) > n * len(masks)
 
 
-class TestPackedFilter:
-    """Buckets of at least PACK_RATIO * (n + 1) kept masks are tested as
-    packed lanes; the output must stay the reference filter's, bit for bit."""
+class TestSupersetFilter:
+    """Dense input is filtered by ANDing the incidence rows of each kept
+    mask's members; the output must stay the reference filter's, bit for
+    bit, on both sides of the density rule."""
 
     @pytest.mark.parametrize("n", [40, 50, 64])
     def test_dense_gnp_solver_builds(self, n):
@@ -632,48 +617,40 @@ class TestPackedFilter:
             g = random_gnp(n, 0.3, rng)
         for kind in kinds:
             masks = solver_hypergraph(g, kind).edges
-            want = reference_minimal_masks(masks)
-            assert _minimal_masks(n, masks) == want, kind
-            # most masks meet a packed bucket (vertex 0 is in about half)
-            assert packed_probes(n, masks, want) > len(masks) // 4, kind
+            assert is_dense(n, masks), kind
+            assert _minimal_masks(n, masks) == reference_minimal_masks(masks), kind
 
-    def test_duplicates_and_lanes_holding_the_top_vertex(self, monkeypatch):
-        monkeypatch.setattr(hypergraphs, "PACK_RATIO", 1)
-        n = 8  # packing length 9; vertex 7 sits next to each lane's guard bit
+    def test_duplicates_the_top_vertex_and_a_chain(self):
+        n = 10
 
         def edge(*vs):
-            return sum(1 << v for v in (0, *vs))
+            return sum(1 << v for v in vs)
 
-        lanes = [edge(a, b) for a in (1, 2) for b in range(a + 1, 7)][:9]  # {0,1,2} .. {0,2,6}
-        top = edge(3, 7)  # kept after the packing: lane 10, holding vertex 7
-        masks = (lanes[0], lanes[0], *lanes[1:], lanes[8], top, lanes[4],
-                 edge(2, 6, 7),  # its only kept subset is lane 9, the last one packed
-                 edge(5, 6, 7),  # no kept subset
-                 edge(3, 5, 7))  # its only kept subset is lane 10
-        want = [*lanes, top, edge(5, 6, 7)]
+        first, dup = edge(0, 1), edge(0, 1)
+        e1, e2, e3 = edge(4, 5), edge(4, 5, 6), edge(4, 5, 6, 9)  # e1's AND removes e2 and e3
+        top = edge(7, 9)  # kept, holds vertex n - 1
+        masks = (e3, e2, first, edge(2, 3), dup, e1, top, edge(1, 2), edge(3, 8, 9),
+                 edge(2, 3, 7, 9))  # the last contains edge(2, 3) and top
+        assert is_dense(n, masks)
+        # the duplicate ties with edge(2, 3) and comes after it, so keeping
+        # it instead of the first would move it behind edge(2, 3)
+        want = [first, edge(2, 3), e1, top, edge(1, 2), edge(3, 8, 9)]
         assert reference_minimal_masks(masks) == want
         assert _minimal_masks(n, masks) == want
-        # the duplicate of lane 1 meets the element loop (the bucket holds
-        # one mask); those of lanes 9 and 5 and the last four masks meet
-        # the packed bucket
-        assert packed_probes(n, masks, want) == 6
 
-    def test_one_bucket_differential(self, monkeypatch):
-        # every mask holds vertex 0; equal-size masks form an antichain, so
-        # the one bucket outgrows the packing length, and duplicates and
-        # supersets are tried on both sides of it
-        monkeypatch.setattr(hypergraphs, "PACK_RATIO", 1)
+    def test_differential_on_both_sides_of_the_density_rule(self):
         rng = random.Random(71)
-        probed = 0
-        for _ in range(300):
-            n = rng.randint(6, 11)
-            pool = [1 | sum(1 << v for v in rng.sample(range(1, n), n // 2)) for _ in range(3 * n)]
-            masks = tuple(rng.choice(pool) | (rng.getrandbits(n) if rng.random() < 0.3 else 0)
-                          for _ in range(rng.randint(n, 5 * n)))
-            want = reference_minimal_masks(masks)
-            assert _minimal_masks(n, masks) == want, (n, masks)
-            probed += packed_probes(n, masks, want) > 0
-        assert probed > 100
+        sides = Counter()
+        for _ in range(600):
+            n = rng.randint(1, 30)
+            size = rng.choice((1, 2, n // 2 + 1))
+            pool = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(size, n))))
+                    for _ in range(rng.randint(1, 2 * n))]
+            masks = tuple(rng.choice(pool) | (1 << rng.randrange(n) if rng.random() < 0.3 else 0)
+                          for _ in range(rng.randint(1, 4 * n)))  # duplicates and supersets
+            sides[is_dense(n, masks)] += 1
+            assert _minimal_masks(n, masks) == reference_minimal_masks(masks), (n, masks)
+        assert min(sides[True], sides[False]) >= 100, sides
 
 
 class TestIncidence:
