@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from . import codes, families, sat_reduction
-from .graphs import Graph, GraphFormatError, VertexSet, format_edge_list, induced_subgraph, parse_edge_list
+from .graphs import Graph, GraphFormatError, VertexSet, format_edge_list, parse_edge_list
 from .hypergraphs import DEFAULT_NODE_BUDGET, remove_redundant
 
 FORMAT_VERSION = "3"
@@ -234,10 +234,11 @@ def _cmd_relations(args) -> tuple[dict, list[str], int]:
 
     K = codes.CodeKind
     fd, ftd = size.get(K.FD), size.get(K.FTD)
-    isolated = g.isolated_vertices()
-    if fd is not None and isolated:
-        iso = next(iter(isolated))
-        rest = induced_subgraph(g, (v for v in range(g.n) if v != iso))
+    if fd is not None and 0 in g.rows:
+        x = g.rows.index(0)  # G - x: no row holds x, so shift the bits above x down
+        low = (1 << x) - 1
+        rest = Graph(g.n - 1, tuple(row & low | row >> 1 & ~low
+                                    for v, row in enumerate(g.rows) if v != x))
         sub = codes.x_number(rest, K.FTD, budget)
         if sub.optimal:
             add_check("FD(G)=FTD(G-isolated)+1", fd == sub.size + 1, f"{fd} == {sub.size}+1")

@@ -238,17 +238,15 @@ def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
     """Why g has no code of this kind, or None if it does.
 
     Structural test: an empty hyperedge can only come from an isolated
-    vertex (open-neighborhood domination row), a closed-twin pair
-    (closed adjacent diffs), or an open-twin pair (open non-adjacent
+    vertex, a zero row (open-neighborhood domination row), a closed-twin
+    pair (closed adjacent diffs), or an open-twin pair (open non-adjacent
     diffs, which includes any two isolated vertices).  The reason names
-    the least such vertex or lexicographically first such pair, found in
-    one pass over the rows that lists no pairs.
+    the first zero row or the lexicographically first such pair, found
+    in one pass over the rows that lists no pairs.
     """
     fam = FAMILIES[kind]
-    if fam.domination is Nbhd.OPEN:
-        isolated = g.isolated_vertices()
-        if isolated:
-            return f"isolated vertex {next(iter(isolated))}"
+    if fam.domination is Nbhd.OPEN and 0 in g.rows:
+        return f"isolated vertex {g.rows.index(0)}"
     if fam.adjacent_pairs is Nbhd.CLOSED:
         twins = first_equal_row_pair(g.closed_rows)
         if twins:

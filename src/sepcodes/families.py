@@ -152,12 +152,6 @@ def ftd_code_path_cycle(n: int, cyclic: bool) -> VertexSet:
     return VertexSet.of(n, (v - 1 for v in picks))
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; vertices of b are shifted up by a.n."""
-    check_vertex_count(a.n + b.n)
-    return Graph(a.n + b.n, a.rows + tuple(row << a.n for row in b.rows))
-
-
 def random_gnp(n: int, p: float, rng: random.Random) -> Graph:
     """Uniform G(n, p) sample, for randomized property tests.
 
@@ -192,8 +186,8 @@ def parse_family_spec(text: str) -> FamilySpec:
 def graph_from_spec_string(text: str) -> tuple[Graph, FamilySpec | None]:
     """CLI family syntax: a family spec with an optional '+k1' suffix.
 
-    The suffix appends one isolated vertex.  The returned spec is None in
-    that case, since the closed-form results apply to the bare family only.
+    The suffix appends one isolated vertex: a zero row, id n.  The spec is
+    None then, since the closed-form results apply to the bare family only.
     """
     base, plus, suffix = text.partition("+")
     spec = parse_family_spec(base)
@@ -202,4 +196,5 @@ def graph_from_spec_string(text: str) -> tuple[Graph, FamilySpec | None]:
         return g, spec
     if suffix.strip().lower() != "k1":
         raise ValueError(f"unknown family suffix {suffix!r} (only '+k1' is supported)")
-    return disjoint_union(g, Graph.from_edges(1, [])), None
+    check_vertex_count(g.n + 1)
+    return Graph(g.n + 1, g.rows + (0,)), None

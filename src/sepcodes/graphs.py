@@ -5,7 +5,9 @@ open neighborhood N(v) of every vertex as an int bitmask (``Graph.rows``),
 plus the closed neighborhoods N[v] derived once at construction
 (``Graph.closed_rows``).  Every structural question in the package (twins,
 isolated vertices, edges, and in :mod:`sepcodes.codes` domination, traces
-and hyperedges) is answered by iterating these rows.  Other vertex
+and hyperedges) is answered by iterating these rows.  An isolated vertex
+is a zero row, so G + K1 appends a 0 to the rows and G - x, for an
+isolated x, drops row x and closes the gap in the others.  Other vertex
 subsets are fixed-universe bitsets (:class:`VertexSet`) over one Python
 int; the package combines their masks directly.
 
@@ -190,10 +192,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def isolated_vertices(self) -> VertexSet:
-        """All vertices with empty open neighborhood."""
-        return VertexSet(self.n, sum(1 << v for v, row in enumerate(self.rows) if not row))
-
     def closed_twins(self) -> list[tuple[int, int]]:
         """Adjacent pairs u < v with N[u] = N[v], lexicographically sorted.
 
@@ -236,24 +234,6 @@ def first_equal_row_pair(rows: Iterable[int]) -> tuple[int, int] | None:
         if u != v and (best is None or u < best[0]):
             best = (u, v)
     return best
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabeled to 0..k-1.
-
-    Vertices are relabeled in ascending order of their original ids.
-    """
-    kept = sorted(set(keep))
-    for v in kept:
-        if not 0 <= v < g.n:
-            raise IndexError(f"vertex id {v} out of range")
-    index = {v: i for i, v in enumerate(kept)}
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges()
-        if u in index and v in index
-    ]
-    return Graph.from_edges(len(kept), edges)
 
 
 # --- edge-list text format ----------------------------------------------

@@ -157,31 +157,24 @@ class GadgetGraph:
     formula: CnfFormula
 
     @property
-    def num_vars(self) -> int:
-        return self.formula.num_vars
-
-    @property
-    def num_clauses(self) -> int:
-        return self.formula.num_clauses
-
-    @property
     def labels(self) -> dict[str, int]:
         """Name -> id map in id order, e.g. labels['v1^x3'] == 20."""
-        names = [f"{part}^x{i}" for i in range(1, self.num_vars + 1) for part in _VAR_PARTS]
-        names += [f"{part}^y{j}" for j in range(1, self.num_clauses + 1) for part in _CLAUSE_PARTS]
+        n, m = self.formula.num_vars, self.formula.num_clauses
+        names = [f"{part}^x{i}" for i in range(1, n + 1) for part in _VAR_PARTS]
+        names += [f"{part}^y{j}" for j in range(1, m + 1) for part in _CLAUSE_PARTS]
         return {name: vid for vid, name in enumerate(names)}
 
     def var_vertex(self, var: int, part: str) -> int:
         """Id of a variable-widget vertex, e.g. var_vertex(2, 'w1')."""
-        if not 1 <= var <= self.num_vars or part not in _VAR_PARTS:
+        if not 1 <= var <= self.formula.num_vars or part not in _VAR_PARTS:
             raise KeyError(f"{part}^x{var}")
         return 10 * (var - 1) + _VAR_PARTS.index(part)
 
     def clause_vertex(self, clause: int, part: str) -> int:
         """Id of a clause-widget vertex, e.g. clause_vertex(1, 'u3')."""
-        if not 1 <= clause <= self.num_clauses or part not in _CLAUSE_PARTS:
+        if not 1 <= clause <= self.formula.num_clauses or part not in _CLAUSE_PARTS:
             raise KeyError(f"{part}^y{clause}")
-        return 10 * self.num_vars + 3 * (clause - 1) + _CLAUSE_PARTS.index(part)
+        return 10 * self.formula.num_vars + 3 * (clause - 1) + _CLAUSE_PARTS.index(part)
 
 
 def build_gadget(formula: CnfFormula) -> GadgetGraph:
@@ -225,7 +218,7 @@ def code_from_assignment(
     """
     if kind not in (CodeKind.FD, CodeKind.FTD):
         raise ValueError("assignment translation targets the full-separation codes")
-    n, m = gg.num_vars, gg.num_clauses
+    n, m = gg.formula.num_vars, gg.formula.num_clauses
     if len(assignment) != n:
         raise ValueError(f"assignment length {len(assignment)} != {n} variables")
     picks = [gg.clause_vertex(j, part) for j in range(1, m + 1) for part in ("u1", "u2")]
@@ -250,7 +243,7 @@ def assignment_from_code(gg: GadgetGraph, code: VertexSet) -> tuple[bool, ...] |
     if not is_full_separating(gg.graph, code):
         return None
     values: list[bool] = []
-    for i in range(1, gg.num_vars + 1):
+    for i in range(1, gg.formula.num_vars + 1):
         w1 = gg.var_vertex(i, "w1") in code
         w2 = gg.var_vertex(i, "w2") in code
         if w1 == w2:

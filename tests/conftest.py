@@ -703,7 +703,7 @@ def reference_build_gadget(formula: CnfFormula) -> tuple[Graph, dict[str, int]]:
 
 # Frozen copies of the branching family code that the shape and X-number
 # tables of sepcodes.families replaced; they are the oracles for the tables.
-_REFERENCE_MIN_SIZE = {
+REFERENCE_MIN_SIZE = {
     Family.PATH: 1,
     Family.CYCLE: 3,
     Family.HALF_GRAPH: 1,
@@ -714,9 +714,9 @@ _REFERENCE_MIN_SIZE = {
 
 def reference_family_check(family: Family, size: int) -> None:
     """The parameter and vertex-count checks of FamilySpec, as branches."""
-    if size < _REFERENCE_MIN_SIZE[family]:
+    if size < REFERENCE_MIN_SIZE[family]:
         raise ValueError(
-            f"{family.value} requires parameter >= {_REFERENCE_MIN_SIZE[family]},"
+            f"{family.value} requires parameter >= {REFERENCE_MIN_SIZE[family]},"
             f" got {size}"
         )
     check_vertex_count(size if family in (Family.PATH, Family.CYCLE)
@@ -828,6 +828,24 @@ def reference_disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(a.n + b.n, edges)
 
 
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
+    """Subgraph induced on the given vertices, relabeled to 0..k-1 in
+    ascending order of their original ids, rebuilt from the edge list."""
+    kept = sorted(set(keep))
+    for v in kept:
+        if not 0 <= v < g.n:
+            raise IndexError(f"vertex id {v} out of range")
+    index = {v: i for i, v in enumerate(kept)}
+    return Graph.from_edges(len(kept), [(index[u], index[v]) for u, v in g.edges()
+                                        if u in index and v in index])
+
+
+def isolated_vertices(g: Graph) -> VertexSet:
+    """The vertices on no edge of the edge list."""
+    touched = {v for edge in g.edges() for v in edge}
+    return VertexSet.of(g.n, (v for v in range(g.n) if v not in touched))
+
+
 def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True) -> Graph:
     """Rejection-sample a twin-free (and optionally isolate-free) graph.
 
@@ -841,7 +859,7 @@ def random_twin_free_graph(rng: random.Random, n: int, isolate_free: bool = True
         g = random_gnp(n, rng.uniform(0.25, 0.7), rng)
         if not is_admissible(g, CodeKind.FD):  # twin-free
             continue
-        if isolate_free and g.isolated_vertices():
+        if isolate_free and isolated_vertices(g):
             continue
         return g
 

@@ -29,11 +29,9 @@ from sepcodes import (
     brute_force_sat,
     build_gadget,
     build_hypergraph,
-    disjoint_union,
     formula_x_number,
     ftd_code_path_cycle,
     generate,
-    induced_subgraph,
     is_admissible,
     is_full_separating,
     min_cover,
@@ -52,6 +50,7 @@ from conftest import (
     is_open_separating,
     random_subset,
     random_twin_free_graph,
+    reference_disjoint_union,
 )
 
 
@@ -143,7 +142,7 @@ def test_criterion_4_half_graph_ftd_and_union_gap(report):
         ftd = x_number(g, CodeKind.FTD).size
         if ftd != 2 * k:
             failures.append(f"half:{k} FTD {ftd} != {2 * k}")
-        plus = disjoint_union(g, Graph.from_edges(1, []))
+        plus = reference_disjoint_union(g, Graph.from_edges(1, []))
         fd = x_number(plus, CodeKind.FD).size
         if fd != 2 * k + 1:
             failures.append(f"half:{k}+k1 FD {fd} != {2 * k + 1}")

@@ -1,15 +1,30 @@
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 
 import pytest
 
-from sepcodes import build_hypergraph, codes, formula_x_number, remove_redundant
+from sepcodes import (
+    CodeKind,
+    Graph,
+    build_hypergraph,
+    codes,
+    format_edge_list,
+    formula_x_number,
+    remove_redundant,
+    x_number,
+)
 from sepcodes.cli import main, render_json
 from sepcodes.families import graph_from_spec_string
 
-from conftest import MALFORMED_DIMACS, MALFORMED_EDGE_LISTS
+from conftest import (
+    MALFORMED_DIMACS,
+    MALFORMED_EDGE_LISTS,
+    induced_subgraph,
+    random_twin_free_graph,
+)
 
 
 def run_cli(*argv):
@@ -221,6 +236,25 @@ class TestRelations:
         assert sizes["FD"] == 7
         gap = [c for c in report["checks"] if c["name"] == "FD(G)=FTD(G-isolated)+1"]
         assert gap and gap[0]["holds"]
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_isolated_vertex_anywhere_in_a_file(self, seed, where, tmp_path):
+        # a twin-free, isolate-free G with a zero row inserted at id x
+        rng = random.Random(seed)
+        base = random_twin_free_graph(rng, rng.randint(4, 7))
+        x = {"first": 0, "middle": base.n // 2, "last": base.n}[where]
+        g = Graph.from_edges(base.n + 1, [(u + (u >= x), v + (v >= x)) for u, v in base.edges()])
+        assert g.rows[x] == 0 and 0 not in g.rows[:x] + g.rows[x + 1:]
+        path = tmp_path / "g.edges"
+        path.write_text(format_edge_list(g), encoding="utf-8")
+        code, report = run_json("relations", str(path))
+        assert code == 0
+        gap = [c for c in report["checks"] if c["name"] == "FD(G)=FTD(G-isolated)+1"]
+        assert len(gap) == 1 and gap[0]["holds"], report["checks"]
+        others = [v for v in range(g.n) if v != x]
+        ftd = x_number(induced_subgraph(g, others), CodeKind.FTD).size
+        assert gap[0]["detail"].split("== ")[1] == f"{ftd}+1"
 
     def test_unproven_sizes_are_not_checked(self):
         # FD's incumbent 14 equals FTD, so reading it would add FTD-1<=FD<=FTD

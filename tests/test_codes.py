@@ -22,13 +22,11 @@ from sepcodes import (
     UniverseMismatchError,
     VertexSet,
     build_hypergraph,
-    disjoint_union,
     format_edge_list,
     forced_vertices,
     formula_x_number,
     ftd_code_path_cycle,
     generate,
-    induced_subgraph,
     is_admissible,
     is_full_separating,
     min_cover,
@@ -56,6 +54,7 @@ from conftest import (
     distance2_full_code,
     exhaustive_small_formulas,
     ids,
+    induced_subgraph,
     is_closed_separating,
     is_cover,
     is_open_separating,
@@ -63,6 +62,7 @@ from conftest import (
     random_subset,
     random_twin_free_graph,
     reference_build_hypergraph,
+    reference_disjoint_union,
     reference_forced_vertices,
     reference_verify_code,
 )
@@ -108,7 +108,7 @@ def seeded_graphs(seed, count):
         if i % 2:
             g = with_isolated_and_pendants(g, rng)
         if i % 3 == 0:
-            g = disjoint_union(g, random_gnp(rng.randint(0, 5), 0.5, rng))
+            g = reference_disjoint_union(g, random_gnp(rng.randint(0, 5), 0.5, rng))
         graphs.append(g)
     return graphs
 
@@ -146,7 +146,7 @@ class TestBuildHypergraph:
                 assert frozenset({i, j}) in edges            # N(s_i)^N(s_j)
 
     def test_isolated_vertex_gives_empty_edge_for_total_domination(self):
-        g = disjoint_union(path(4), Graph.from_edges(1, []))
+        g = reference_disjoint_union(path(4), Graph.from_edges(1, []))
         assert build_hypergraph(g, CodeKind.FTD).has_empty_edge()
         assert not build_hypergraph(g, CodeKind.FD).has_empty_edge()
 
@@ -155,7 +155,7 @@ class TestBuildHypergraph:
 
     def test_matches_two_pass_reference(self):
         graphs = [Graph.from_edges(0, []), Graph.from_edges(1, []), Graph.from_edges(3, []),
-                  path(2), cycle(5), half(3), disjoint_union(cycle(4), path(3)),
+                  path(2), cycle(5), half(3), reference_disjoint_union(cycle(4), path(3)),
                   *seeded_graphs(61, 300)]
         for g in graphs:
             for kind in ALL_KINDS:
@@ -243,7 +243,7 @@ class TestSolverHypergraph:
 class TestAdmissibility:
     def test_examples(self):
         assert not is_admissible(path(3), CodeKind.FD)
-        g = disjoint_union(path(4), Graph.from_edges(1, []))
+        g = reference_disjoint_union(path(4), Graph.from_edges(1, []))
         assert is_admissible(g, CodeKind.FD)
         assert not is_admissible(g, CodeKind.FTD)
 
@@ -265,7 +265,7 @@ class TestAdmissibility:
     def test_failure_reasons(self):
         assert "open twins" in admissibility_failure(path(3), CodeKind.FD)
         assert "closed twins" in admissibility_failure(path(2), CodeKind.ID)
-        g = disjoint_union(path(4), Graph.from_edges(1, []))
+        g = reference_disjoint_union(path(4), Graph.from_edges(1, []))
         assert "isolated" in admissibility_failure(g, CodeKind.LTD)
 
     def test_failure_names_lexicographically_first_twins(self):
@@ -393,7 +393,7 @@ class TestVerifyCodeFast:
             n = rng.randint(0, 12)
             g = random_gnp(n, rng.random(), rng)
             if rng.random() < 0.25:
-                g = disjoint_union(g, Graph.from_edges(rng.randint(1, 2), []))
+                g = reference_disjoint_union(g, Graph.from_edges(rng.randint(1, 2), []))
             kind = rng.choice([CodeKind.FD, CodeKind.FTD])
             full = (1 << g.n) - 1
             c = VertexSet(g.n, full & ~(rng.getrandbits(g.n) & rng.getrandbits(g.n)))
@@ -442,7 +442,7 @@ class TestForcedVertices:
         # In P3 the middle vertex is forced by no pair; an isolated vertex
         # z makes {1} the punctured difference of the pairs (0, z), (2, z).
         assert 1 not in forced_vertices(path(3))
-        g = disjoint_union(path(3), Graph.from_edges(1, []))
+        g = reference_disjoint_union(path(3), Graph.from_edges(1, []))
         assert 1 in forced_vertices(g)
         assert forced_vertices(g) == reference_forced_vertices(g)
 
@@ -653,7 +653,7 @@ class TestGapAndLowerBounds:
         rng = random.Random(65)
         for _ in range(10):
             base = random_twin_free_graph(rng, rng.randint(4, 7))
-            g = disjoint_union(base, Graph.from_edges(1, []))
+            g = reference_disjoint_union(base, Graph.from_edges(1, []))
             if not is_admissible(g, CodeKind.FD):  # twin-free
                 continue
             fd = x_number(g, CodeKind.FD).size

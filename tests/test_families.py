@@ -9,7 +9,6 @@ from sepcodes import (
     FamilySpec,
     Graph,
     VertexSet,
-    disjoint_union,
     formula_x_number,
     ftd_code_path_cycle,
     generate,
@@ -21,7 +20,9 @@ from sepcodes.families import graph_from_spec_string, parse_family_spec
 from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, GraphFormatError
 
 from conftest import (
+    REFERENCE_MIN_SIZE,
     graphs_isomorphic,
+    isolated_vertices,
     reference_disjoint_union,
     reference_family_check,
     reference_formula_x_number,
@@ -212,25 +213,24 @@ class TestConstructiveCode:
 
 
 class TestDisjointUnion:
+    """G + K1 through the '+k1' suffix, which appends a zero row."""
+
     def test_sizes_add(self):
-        g = disjoint_union(generate(spec(Family.PATH, 4)), Graph.from_edges(1, []))
+        g, _ = graph_from_spec_string("path:4+k1")
         assert g.n == 5 and g.num_edges == 3
 
-    def test_identity_with_empty_graph(self):
-        g = generate(spec(Family.PATH, 4))
-        assert disjoint_union(g, Graph.from_edges(0, [])) == g
-
     def test_matches_edge_built_union(self):
-        rng = random.Random(20)
-        k1, empty = Graph.from_edges(1, []), Graph.from_edges(0, [])
-        for _ in range(200):
-            a = random_gnp(rng.randint(0, 9), rng.random(), rng)
-            b = random_gnp(rng.randint(0, 9), rng.random(), rng)
-            for x, y in ((a, b), (b, a), (a, k1), (k1, a), (a, empty), (empty, a)):
-                assert disjoint_union(x, y) == reference_disjoint_union(x, y)
+        k1 = Graph.from_edges(1, [])
+        for family in Family:
+            least = REFERENCE_MIN_SIZE[family]
+            for size in (least, least + 1, least + 2, least + 5, least + 11):
+                s = spec(family, size)
+                g, parsed = graph_from_spec_string(f"{s}+k1")
+                assert parsed is None
+                assert g == reference_disjoint_union(generate(s), k1), s
 
     def test_half3_plus_isolated_fd_number(self):
-        g = disjoint_union(generate(spec(Family.HALF_GRAPH, 3)), Graph.from_edges(1, []))
+        g, _ = graph_from_spec_string("half:3+k1")
         assert x_number(g, CodeKind.FD).size == 7
 
 
@@ -264,7 +264,7 @@ class TestSpecParsing:
     def test_plus_k1_suffix(self):
         g, s = graph_from_spec_string("half:3+k1")
         assert s is None
-        assert g.n == 7 and g.isolated_vertices() == VertexSet.of(7, [6])
+        assert g.n == 7 and isolated_vertices(g) == VertexSet.of(7, [6])
         with pytest.raises(ValueError):
             graph_from_spec_string("half:3+k2")
 

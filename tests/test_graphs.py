@@ -12,10 +12,8 @@ from sepcodes import (
     GraphFormatError,
     UniverseMismatchError,
     VertexSet,
-    disjoint_union,
     format_edge_list,
     generate,
-    induced_subgraph,
     is_admissible,
     parse_edge_list,
     random_gnp,
@@ -26,8 +24,11 @@ from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, bit_ids
 from conftest import (
     MALFORMED_EDGE_LISTS,
     complete_graph,
+    induced_subgraph,
+    isolated_vertices,
     random_twin_free_graph,
     reference_closed_twins,
+    reference_disjoint_union,
     reference_edges,
     reference_open_twins,
 )
@@ -187,14 +188,14 @@ class TestTwins:
         rng = random.Random(71)
         graphs = [complete_graph(k) for k in range(6)]
         graphs += [Graph.from_edges(k, []) for k in range(4)]  # isolated pairs
-        graphs.append(disjoint_union(complete_graph(3), Graph.from_edges(2, [])))
-        graphs.append(disjoint_union(path(3), path(3)))
-        graphs.append(disjoint_union(cycle(4), complete_graph(2)))
+        graphs.append(reference_disjoint_union(complete_graph(3), Graph.from_edges(2, [])))
+        graphs.append(reference_disjoint_union(path(3), path(3)))
+        graphs.append(reference_disjoint_union(cycle(4), complete_graph(2)))
         for _ in range(300):
             n = rng.randint(0, 12)
             g = random_gnp(n, rng.choice([0.1, 0.3, 0.5, 0.8]), rng)
             if rng.random() < 0.3:  # disconnected, with twins across components
-                g = disjoint_union(g, g)
+                g = reference_disjoint_union(g, g)
             graphs.append(g)
         for g in graphs:
             closed, open_ = reference_closed_twins(g), reference_open_twins(g)
@@ -226,14 +227,14 @@ class TestRandomTwinFreeGraph:
         for n in range(6):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             exists = any(
-                is_admissible(g, CodeKind.FD) and not (isolate_free and g.isolated_vertices())
+                is_admissible(g, CodeKind.FD) and not (isolate_free and isolated_vertices(g))
                 for bits in range(1 << len(pairs))
                 for g in [Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])]
             )
             if exists:
                 g = random_twin_free_graph(rng, n, isolate_free)
                 assert g.n == n and is_admissible(g, CodeKind.FD)
-                assert not (isolate_free and g.isolated_vertices())
+                assert not (isolate_free and isolated_vertices(g))
             else:
                 with pytest.raises(ValueError, match=f"has {n} vertices"):
                     random_twin_free_graph(rng, n, isolate_free)
@@ -241,10 +242,16 @@ class TestRandomTwinFreeGraph:
 
 class TestIsolated:
     def test_isolated(self):
-        g = disjoint_union(path(4), Graph.from_edges(1, []))
-        assert g.isolated_vertices() == VertexSet.of(5, [4])
-        assert not cycle(5).isolated_vertices()
-        assert Graph.from_edges(2, []).isolated_vertices() == VertexSet.of(2, [0, 1])
+        # an isolated vertex is a zero row: the rows and the edge list agree
+        g = reference_disjoint_union(path(4), Graph.from_edges(1, []))
+        assert isolated_vertices(g) == VertexSet.of(5, [4]) and g.rows[4] == 0
+        assert not isolated_vertices(cycle(5)) and 0 not in cycle(5).rows
+        assert isolated_vertices(Graph.from_edges(2, [])) == VertexSet.of(2, [0, 1])
+        rng = random.Random(72)
+        for _ in range(100):
+            g = random_gnp(rng.randint(0, 12), rng.choice([0.05, 0.2, 0.5]), rng)
+            zero_rows = [v for v, row in enumerate(g.rows) if row == 0]
+            assert isolated_vertices(g).sorted_ids() == zero_rows, format_edge_list(g)
 
 
 class TestGraphConstruction:
@@ -359,7 +366,7 @@ class TestInducedSubgraph:
             induced_subgraph(g, [g.n])
 
     def test_remove_isolated(self):
-        g = disjoint_union(path(3), Graph.from_edges(1, []))
+        g = reference_disjoint_union(path(3), Graph.from_edges(1, []))
         sub = induced_subgraph(g, range(3))
         assert sub == path(3)
 

@@ -8,7 +8,9 @@ members of those classes (methods, properties, dataclass fields and
 ``self.<attr>`` assignments) must be read there as attributes.
 Definitions, assignments and imports do not count, only loads, so a name
 that only tests call fails here: such helpers belong in
-``tests/conftest.py``, and a field nothing reads should go.
+``tests/conftest.py``, and a field nothing reads should go.  Likewise
+every name a package module imports must be read in that module, so a
+helper that moves out leaves no stale import behind.
 """
 
 import ast
@@ -110,3 +112,30 @@ def test_member_scan_finds_methods_fields_and_self_attributes():
               "    def _p(self):\n        pass\nclass _B:\n    def q(self):\n        pass\n"
               "def f():\n    pass\nv = 1\n")
     assert public_definitions(source) == (["A", "f"], [("A", "m"), ("A", "x"), ("A", "y")])
+
+
+def imported_names(source: str) -> set[str]:
+    """The names the source's imports bind, ``from __future__`` aside."""
+    bound = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound
+
+
+def test_every_import_in_the_package_is_read():
+    # annotations are loads in the tree, so a name read only there counts
+    unread = []
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        stale = imported_names(source) - loads(source)[0]
+        unread += [f"{path.stem}.{name}" for name in sorted(stale)]
+    assert not unread, f"imported but never read: {unread}"
+
+
+def test_import_scan_binds_what_the_import_binds():
+    source = "from __future__ import annotations\nimport a.b\nfrom c import d as e, f\nx: f\n"
+    assert imported_names(source) == {"a", "e", "f"}
+    assert imported_names(source) - loads(source)[0] == {"a", "e"}
