@@ -8,8 +8,10 @@ branch-and-bound over int bitmasks:
   the rest indexed by size, ties in input order,
 * unit hyperedges force their vertex,
 * the branching edge is an uncovered hyperedge of minimum remaining
-  cardinality, tried member by member in ascending id order (members
-  already tried are banned in later siblings, so subtrees are disjoint),
+  cardinality, tried member by member, first the member that hits the
+  most uncovered edges, ties by least id (Chvatal's greedy rule as
+  succeed-first value order; members already tried are banned in later
+  siblings, so subtrees are disjoint),
 * the upper bound starts from the greedy cover,
 * the lower bound is a greedy packing of pairwise-disjoint uncovered
   hyperedges, smallest edge first.
@@ -42,18 +44,22 @@ Each node propagates its unit edges first, then meets one cut chain:
 ``count + 1`` against the incumbent, the table, the packing bound.  Two
 shortcuts make a node cheaper without changing which nodes are visited.
 A branching node at ``best - 2`` chosen vertices has only leaf children,
-each a cover (the first becomes the incumbent) or cut by the bound; it
-visits them in place, in stack order and counted against the budget,
-and its close marker closes it.  Packing caches conflict sets (the OR
-of ``inc[v]`` over an edge's allowed members) keyed by those members, one
-lookup per packed edge, and clears the cache at ``len(masks)`` entries.
+each a cover or cut by the bound.  A member that hits every live edge
+hits the most, so if any child covers, the first in the try order does:
+the node takes it as the incumbent, counts every child against the
+budget without visiting the others, and its close marker closes it.
+Packing caches conflict sets (the OR of ``inc[v]`` over an edge's
+allowed members) keyed by those members, one lookup per packed edge,
+and clears the cache at ``len(masks)`` entries.
 
 A transposition table (branch-and-bound with caching, Kitching and
 Bacchus, CP 2008) maps the live edges of each finished branching node
 to ``best - count``, a lower bound on every cover R of them, banned
 vertices included: ``chosen | R`` is a cover whose route down the tree
-(to the child of its first member of each branching edge) ends in that
-subtree or in an earlier sibling of an ancestor, all searched already.
+(to the child of its first member, in the node's try order, of each
+branching edge) ends in that subtree or in an earlier sibling of an
+ancestor, all searched already.  The try order is a function of the
+node, so the route is too.
 A later node with the same live edges is cut when ``count`` plus the
 bound reaches the incumbent.  Cuts remove only subtrees without a
 strictly better cover, so the incumbents, and the witness of a proven
@@ -368,8 +374,9 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
         if (count + 1 >= best_size or count + table.get(live, 0) >= best_size
                 or count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size):
             continue
-        # Branch on the first live edge of minimum allowed count, members
-        # ascending; each sibling bans the members already tried.
+        # Branch on the first live edge of minimum allowed count.  Its
+        # members are tried by the most live edges hit, ties by least id
+        # (from the end of order); each sibling bans those tried before.
         least = live
         for p in reversed(planes):
             if least & ~p:
@@ -377,32 +384,32 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
         pick = masks[(least & -least).bit_length() - 1] & ~banned
         stack.append((0, count, 0, live, None))  # close marker, popped after the children
         if count + 2 == best_size:
-            # Every child is a leaf at best_size - 1: the first child that
-            # covers becomes the incumbent, every other child is cut by the
-            # bound.  Visit them in stack order; the marker closes this node.
-            while pick and best_size > lower:
-                low = pick & -pick
-                pick ^= low
-                nodes += 1
-                if nodes > budget:
+            # Every child is a leaf at best_size - 1.  A member that hits
+            # every live edge comes first in the try order, the least id of
+            # them, so the first child is the incumbent if any covers, and
+            # the bound cuts every other child; the marker closes this node.
+            cover = pick
+            while cover and live & ~inc[(cover & -cover).bit_length() - 1]:
+                cover &= cover - 1
+            if cover and nodes < budget:
+                best_size = count + 1
+                best_mask = chosen | (cover & -cover)
+                if best_size <= lower:
+                    nodes += 1
                     break
-                if not live & ~inc[low.bit_length() - 1] and count + 1 < best_size:
-                    best_size = count + 1
-                    best_mask = chosen | low
-            if best_size <= lower:
-                break
+            nodes = min(nodes + pick.bit_count(), budget + 1)
             continue
+        order = sorted(bit_ids(pick), key=lambda v: ((live & inc[v]).bit_count(), -v))
         children = []
         while True:
-            low = pick & -pick
-            hit = inc[low.bit_length() - 1]
-            children.append((chosen | low, count + 1, banned, live & ~hit, planes))
-            pick ^= low
-            if not pick:
+            v = order.pop()
+            hit = inc[v]
+            children.append((chosen | 1 << v, count + 1, banned, live & ~hit, planes))
+            if not order:
                 break
-            banned |= low
+            banned |= 1 << v
             # Bit-sliced decrement of the allowed counts of the live edges
-            # under low; every such count is >= 1, so the borrow dies out.
+            # under v; every such count is >= 1, so the borrow dies out.
             borrow = live & hit
             planes = planes[:]
             j = 0

@@ -241,17 +241,17 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
         effective = [m & ~banned for m in uncov]
         if count + reference_packing_lower_bound(effective) >= best_size:
             return
-        # Branch on the smallest remaining edge, members ascending;
-        # each sibling bans the members already tried.
+        # Branch on the smallest remaining edge, trying first the member
+        # in the most remaining edges, ties by least id; each sibling bans
+        # the members already tried.
         pick = min(effective, key=int.bit_count)
+        order = sorted(ids(pick, h.n), key=lambda v: (-sum(1 for m in uncov if m >> v & 1), v))
         tried = 0
-        while pick:
-            low = pick & -pick
-            dfs(chosen | low, count + 1, banned | tried, uncov)
+        for v in order:
+            dfs(chosen | 1 << v, count + 1, banned | tried, uncov)
             if exhausted:
                 return
-            tried |= low
-            pick ^= low
+            tried |= 1 << v
 
     dfs(0, 0, 0, reduced)
     return CoverResult(best_size, VertexSet(h.n, best_mask), not exhausted, nodes)
@@ -259,10 +259,10 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
 
 # --- the table engine, node for node ----------------------------------------
 #
-# A verbatim copy of the transposition-table engine (one stack entry per
-# child, packing conflicts recomputed per edge).  It shares the package's
-# edge filter, incidence, greedy and bit-slice helpers, so only the search
-# loop and the packing bound are under test.
+# A copy of the transposition-table engine (one stack entry per child,
+# packing conflicts recomputed per edge), in the engine's try order.  It
+# shares the package's edge filter, incidence, greedy and bit-slice
+# helpers, so only the search loop and the packing bound are under test.
 
 
 def reference_table_packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:
@@ -283,7 +283,7 @@ def reference_table_packing(masks: Sequence[int], inc: list[int], live: int, ban
 
 
 def reference_table_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
-    """The table engine before leaf children were expanded in place, verbatim.
+    """The table engine before leaf children were expanded in place.
 
     The fast engine must match it node for node: same size, witness,
     optimal flag and ``nodes_explored`` for every input and budget.
@@ -356,21 +356,22 @@ def reference_table_min_cover(h: Hypergraph, budget: int | None = None) -> Cover
             continue
         if count + reference_table_packing(masks, inc, live, banned, best_size - count) >= best_size:
             continue
-        # Branch on the first live edge of minimum allowed count, members
-        # ascending; each sibling bans the members already tried.
+        # Branch on the first live edge of minimum allowed count, trying
+        # first the member that hits the most live edges, ties by least id;
+        # each sibling bans the members already tried.
         least = live
         for p in reversed(planes):
             if least & ~p:
                 least &= ~p
         pick = masks[(least & -least).bit_length() - 1] & allowed
+        order = sorted(bit_ids(pick), key=lambda v: (-(live & inc[v]).bit_count(), v))
         stack.append((0, count, 0, live, None))  # close marker, popped after the children
         children = []
-        while True:
-            low = pick & -pick
-            hit = inc[low.bit_length() - 1]
+        for v in order:
+            low = 1 << v
+            hit = inc[v]
             children.append((chosen | low, count + 1, banned, live & ~hit, planes))
-            pick ^= low
-            if not pick:
+            if v == order[-1]:
                 break
             banned |= low
             # Bit-sliced decrement of the allowed counts of the live edges

@@ -257,11 +257,13 @@ class TestRelations:
         assert gap[0]["detail"].split("== ")[1] == f"{ftd}+1"
 
     def test_unproven_sizes_are_not_checked(self):
-        # FD's incumbent 14 equals FTD, so reading it would add FTD-1<=FD<=FTD
-        code, report = run_json("relations", "--family", "cycle:20", "--budget", "20")
+        # FD's incumbent 13 equals FTD, so reading it would add FTD-1<=FD<=FTD
+        code, report = run_json("relations", "--family", "cycle:19", "--budget", "100")
         assert code == 2
         unproven = {r["kind"] for r in report["results"] if not r["optimal"]}
         assert unproven == {"FD", "OD"}
+        sizes = {r["kind"]: r["size"] for r in report["results"]}
+        assert sizes["FD"] == sizes["FTD"] == 13
         checks = report["checks"]
         assert len(checks) == 7 and all(c["holds"] for c in checks)
         assert not [c["name"] for c in checks if "FD" in c["name"] or "OD" in c["name"]]
