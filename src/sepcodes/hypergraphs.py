@@ -12,7 +12,8 @@ branch-and-bound over int bitmasks:
   most uncovered edges, ties by least id (Chvatal's greedy rule as
   succeed-first value order; members already tried are banned in later
   siblings, so subtrees are disjoint),
-* the upper bound starts from the greedy cover,
+* the upper bound starts from the greedy cover by Jeroslow and Wang's
+  rule, each uncovered edge e weighing 2^-|e| (see :func:`_greedy_mask`),
 * the lower bound is a greedy packing of pairwise-disjoint uncovered
   hyperedges, smallest edge first.
 
@@ -79,7 +80,10 @@ far (never silently truncated) with ``nodes_explored`` = ``budget + 1``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heapreplace
+from math import inf
 from typing import Sequence
 
 from .graphs import VertexSet, bit_ids
@@ -269,25 +273,38 @@ def _packing(masks: Sequence[int], inc: list[int], conf: dict[int, int], live: i
     return packed
 
 
-def _greedy_mask(inc: list[int], live: int) -> int:
-    """Greedy cover mask of the live edges: repeatedly take the vertex
-    hitting the most uncovered edges, smallest id on ties."""
+def _greedy_mask(inc: list[int], counts: Sequence[int]) -> int:
+    """Greedy cover mask of edges of sizes ``counts``, smallest first, by
+    Jeroslow and Wang's rule: take the vertex of largest weight, the sum of
+    2^-|e| over the uncovered edges e it hits, least id on ties.  Weights
+    are exact: each run of equal sizes s is a class of edge indices, whose
+    hits count 2^(top - s) for the largest size top.  Weights only fall, so
+    a heap of stale (-weight, id) entries re-weighs only its top (Minoux's
+    accelerated greedy) and takes it once its weight is current: every
+    other weight is at most its stale one, so the pick is a full scan's."""
+    classes = [((1 << bisect_right(counts, s)) - (1 << bisect_left(counts, s)), counts[-1] - s)
+               for s in set(counts)]
+    live = (1 << len(counts)) - 1
+    heap = [(-inf, v) for v in range(len(inc))]  # every weight stale at first
     chosen = 0
-    while live:  # every live edge is non-empty, so some vertex hits one
-        best_v = -1
-        best_hits = 0
-        for v, edges in enumerate(inc):
-            hits = (live & edges).bit_count()
-            if hits > best_hits:
-                best_hits = hits
-                best_v = v
-        chosen |= 1 << best_v
-        live &= ~inc[best_v]
+    while live:  # a live edge's members weigh more than 0, so one tops the heap
+        stale, v = heap[0]
+        hit = live & inc[v]
+        w = 0
+        for cls, shift in classes:
+            w += (hit & cls).bit_count() << shift
+        if w == -stale:
+            heappop(heap)
+            chosen |= 1 << v
+            live &= ~hit
+        else:
+            heapreplace(heap, (-w, v))
     return chosen
 
 
 def greedy_cover(h: Hypergraph) -> CoverResult:
-    """Greedy max-coverage heuristic cover of the inclusion-minimal edges.
+    """Jeroslow-Wang greedy cover of the inclusion-minimal edges (see
+    :func:`_greedy_mask`).
 
     Flagged optimal only when the greedy size matches the disjoint-packing
     lower bound of the hypergraph.  :func:`min_cover` starts from the same
@@ -297,11 +314,11 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
     masks = _minimal_masks(h.n, h.edges)
-    inc = _incidence(h.n, masks, [m.bit_count() for m in masks])
-    live = (1 << len(masks)) - 1
-    chosen = _greedy_mask(inc, live)
+    counts = [m.bit_count() for m in masks]
+    inc = _incidence(h.n, masks, counts)
+    chosen = _greedy_mask(inc, counts)
     size = chosen.bit_count()
-    packed = _packing(masks, inc, {}, live, 0, size)
+    packed = _packing(masks, inc, {}, (1 << len(masks)) - 1, 0, size)
     return CoverResult(size, VertexSet(h.n, chosen), size == packed, 0)
 
 
@@ -328,7 +345,7 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     masks = _minimal_masks(h.n, h.edges)
     counts = [m.bit_count() for m in masks]
     inc = _incidence(h.n, masks, counts)
-    best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
+    best_mask = _greedy_mask(inc, counts)
     best_size = best_mask.bit_count()
     lower = h.lower
     if lower and best_size <= lower:
@@ -388,7 +405,8 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
             # every live edge comes first in the try order, the least id of
             # them, so the first child is the incumbent if any covers, and
             # the bound cuts every other child; the marker closes this node.
-            cover = pick
+            # Such a member lies in the last live edge too.
+            cover = pick & masks[live.bit_length() - 1]
             while cover and live & ~inc[(cover & -cover).bit_length() - 1]:
                 cover &= cover - 1
             if cover and nodes < budget:

@@ -31,7 +31,7 @@ from sepcodes import (
 from sepcodes import hypergraphs
 from sepcodes.codes import FAMILIES, Nbhd
 from sepcodes.graphs import bit_ids, check_edge_count, check_vertex_count
-from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
+from sepcodes.hypergraphs import _bit_slices, _incidence, _minimal_masks
 from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS
 
 
@@ -171,25 +171,23 @@ def reference_packing_lower_bound(masks: list[int]) -> int:
 
 
 def reference_greedy_mask(n: int, masks: Iterable[int]) -> int:
-    """Greedy cover mask: repeatedly take the vertex hitting the most
-    uncovered edges, smallest id on ties."""
+    """Jeroslow-Wang greedy cover mask by full scans over vertex sets:
+    repeatedly take the vertex of largest weight, the sum of 2^-|e| over
+    the uncovered edges e containing it, smallest id on ties.  Weights are
+    exact, scaled by 2^top for the largest edge size top."""
+    uncovered = [ids(m, n) for m in masks]
+    top = max(map(len, uncovered), default=0)
     chosen = 0
-    uncovered = list(masks)
     while uncovered:
-        best_v = -1
-        best_hits = 0
-        for v in range(n):
-            bit = 1 << v
-            if chosen & bit:
-                continue
-            hits = sum(1 for m in uncovered if m & bit)
-            if hits > best_hits:
-                best_hits = hits
-                best_v = v
-        if best_v < 0:  # pragma: no cover - impossible without empty edges
-            raise EmptyHyperedgeError("uncoverable hyperedge")
+        weight = [0] * n
+        for e in uncovered:
+            if not e:  # pragma: no cover - callers pass no empty edges
+                raise EmptyHyperedgeError("uncoverable hyperedge")
+            for v in e:
+                weight[v] += 1 << (top - len(e))
+        best_v = max(range(n), key=lambda v: (weight[v], -v))
         chosen |= 1 << best_v
-        uncovered = [m for m in uncovered if not m & chosen]
+        uncovered = [e for e in uncovered if best_v not in e]
     return chosen
 
 
@@ -261,8 +259,9 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
 #
 # A copy of the transposition-table engine (one stack entry per child,
 # packing conflicts recomputed per edge), in the engine's try order.  It
-# shares the package's edge filter, incidence, greedy and bit-slice
-# helpers, so only the search loop and the packing bound are under test.
+# shares the package's edge filter, incidence and bit-slice helpers and
+# starts from the reference greedy, so the search loop, the packing bound
+# and the lazy greedy are under test.
 
 
 def reference_table_packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:
@@ -298,7 +297,7 @@ def reference_table_min_cover(h: Hypergraph, budget: int | None = None) -> Cover
     masks = _minimal_masks(h.n, h.edges)
     counts = [m.bit_count() for m in masks]
     inc = _incidence(h.n, masks, counts)
-    best_mask = _greedy_mask(inc, (1 << len(masks)) - 1)
+    best_mask = reference_greedy_mask(h.n, masks)
     best_size = best_mask.bit_count()
     nodes = 0
     exhausted = False

@@ -27,10 +27,13 @@ LIB = SimpleNamespace(codes=codes, hypergraphs=hypergraphs, graphs=graphs, famil
 
 
 def run_once(op, gate, tracer, op_id):
-    """Call and check op, then replay it under a span and run its probe."""
+    """Call and check op, then replay it under a span, check the replay's
+    value too, and run its probe.  The replay's ledger entry must be the
+    call's, as a traced run requires of every pass."""
     entry = op.check(op.call(), gate)
     with tracer.span("op", None, op_id) as root:
         value = op.replay(tracer, root) if op.replay is not None else op.call()
+    assert op.check(value, gate) == entry, op.label
     if op.probe is not None:
         op.probe(tracer, op_id, value)
     return entry

@@ -71,7 +71,7 @@ class TestSolve:
 
     def test_budget_exhaustion_exit_code(self):
         code, report = run_json(
-            "solve", "--family", "cycle:24", "--kind", "fd", "--budget", "2"
+            "solve", "--family", "thin:10", "--kind", "fd", "--budget", "2"
         )
         assert code == 2
         assert not report["results"][0]["optimal"]
@@ -343,10 +343,10 @@ class TestReduce:
         assert report["check"]["ftd"]["optimal"] and not report["check"]["fd"]["optimal"]
 
     def test_check_skips_unproven_sizes(self, tmp_path):
-        # at budget 1 both searches stop at incumbents (FTD 28, FD 27) above
-        # the satisfiable targets 27 and 26; no size check may judge them
+        # at budget 1 both searches stop at incumbents (FTD 30, FD 29) above
+        # the satisfiable targets 29 and 28; no size check may judge them
         cnf = tmp_path / "f.cnf"
-        cnf.write_text("p cnf 3 3\n3 1 0\n-3 1 2 0\n-1 0\n", encoding="utf-8")
+        cnf.write_text("p cnf 3 4\n-1 0\n3 2 0\n1 -2 0\n2 -3 -1 0\n", encoding="utf-8")
         code, report = run_json("reduce", str(cnf), "--check", "--budget", "1")
         assert code == 2
         check = report["check"]
@@ -355,7 +355,7 @@ class TestReduce:
         assert not any(c["name"].startswith("sat<=>") for c in check["checks"])
         code, out = run_cli("reduce", str(cnf), "--check", "--budget", "1")
         assert code == 2
-        assert "FTD number: 28 (budget exhausted) (target 27)" in out
+        assert "FTD number: 30 (budget exhausted) (target 29)" in out
         assert "FAIL" not in out
 
     def test_oversized_gadget_refused(self, tmp_path, capsys):
