@@ -14,8 +14,10 @@ exhausted, 3 graph not admissible for the requested kind.  Oversized
 inputs exit 1 too; any other exception is a defect and propagates.
 
 Each command returns a report body (a dict), its human-readable lines
-and an exit code; ``main`` adds ``format_version``, ``command`` and
-``deterministic`` to the body and renders the report once.  Reports are
+(see ``render_text``) and an exit code; ``main`` adds ``format_version``,
+``command`` and ``deterministic`` to the body and renders the report
+once.  ``main`` builds its parser on the first call and reuses it, so it
+may be called repeatedly in one process.  Reports are
 human-readable by default; ``--json`` switches to a canonical JSON
 rendering (sorted keys, fixed layout) that is byte-stable across runs
 when ``--deterministic`` is given (which zeroes ``wall_ms``).
@@ -25,6 +27,7 @@ when ``--deterministic`` is given (which zeroes ``wall_ms``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -46,7 +49,9 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="sepcodes",
         description="Exact solver and verifier for separating-domination codes in graphs.",
@@ -150,8 +155,61 @@ def _command_echo(args) -> str:
     return " ".join(parts)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    That call runs the pure-Python encoder over every row; here each list
+    of strings or of ints is one C-speed join, and the report is one
+    list of fragments joined once.  Keys must be strings.
+    """
+    out: list[str] = []
+    _emit_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit_json(value, newline: str, out: list[str]) -> None:
+    """Append value's JSON fragments; newline is "\\n" plus its indent."""
+    if type(value) is str:
+        out.append(_encode_str(value))
+    elif isinstance(value, dict) and value:
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _emit_json(value[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        types = set(map(type, value))
+        scalar = _encode_str if types == {str} else int.__repr__ if types == {int} else None
+        if scalar is not None:
+            out += "[" + inner, ("," + inner).join(map(scalar, value)), newline + "]"
+            return
+        sep = "["
+        for item in value:
+            out.append(sep + inner)
+            _emit_json(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:  # scalars and empty containers: the C encoder's own bytes
+        out.append(json.dumps(value))
+
+
+def render_text(lines: list) -> str:
+    """One line per str entry; any other entry is a block of rows, each
+    printed two spaces in.  Blocks are iterated only here, so a report
+    rendered as JSON never builds its text rows."""
+    out: list[str] = []
+    for line in lines:
+        if isinstance(line, str):
+            out += line, "\n"
+        elif rows := list(line):
+            out += "  ", "\n  ".join(rows), "\n"
+    return "".join(out)
 
 
 def _elapsed_ms(args, started: float) -> int:
@@ -173,7 +231,7 @@ def _solve_entry(g: Graph, kind: codes.CodeKind, budget: int, args) -> dict:
     }
 
 
-def _cmd_solve(args) -> tuple[dict, list[str], int]:
+def _cmd_solve(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     body["budget"] = budget = _resolve_budget(args)
@@ -195,7 +253,7 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
     return body, lines, EXIT_OK if entry["optimal"] else EXIT_BUDGET
 
 
-def _cmd_verify(args) -> tuple[dict, list[str], int]:
+def _cmd_verify(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     code = _parsed(VertexSet.of, g.n, args.code)
@@ -210,7 +268,7 @@ def _cmd_verify(args) -> tuple[dict, list[str], int]:
     return body, lines, EXIT_OK
 
 
-def _cmd_relations(args) -> tuple[dict, list[str], int]:
+def _cmd_relations(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     budget = _resolve_budget(args)
     numbers: dict[codes.CodeKind, dict] = {}
@@ -260,9 +318,9 @@ def _cmd_relations(args) -> tuple[dict, list[str], int]:
         else:
             opt = "" if entry["optimal"] else " (budget exhausted)"
             lines.append(f"{kind.value}: {entry['size']}{opt}")
-    lines.append(f"checks: {sum(c['holds'] for c in checks)}/{len(checks)} hold")
-    for c in checks:
-        lines.append(f"  [{'ok' if c['holds'] else 'VIOLATION'}] {c['name']}: {c['detail']}")
+    lines += [f"checks: {sum(c['holds'] for c in checks)}/{len(checks)} hold",
+              (f"[{'ok' if c['holds'] else 'VIOLATION'}] {c['name']}: {c['detail']}"
+               for c in checks)]
     exhausted = any(e.get("admissible") and not e.get("optimal") for e in numbers.values())
     return body, lines, EXIT_BUDGET if exhausted else EXIT_OK
 
@@ -271,7 +329,7 @@ _CHECK_MAX_VARS = 3
 _CHECK_MAX_CLAUSES = 4
 
 
-def _cmd_reduce(args) -> tuple[dict, list[str], int]:
+def _cmd_reduce(args) -> tuple[dict, list, int]:
     text = Path(args.cnf).read_text(encoding="utf-8")
     formula = sat_reduction.parse_dimacs(text)
     gg = sat_reduction.build_gadget(formula)
@@ -300,12 +358,10 @@ def _cmd_reduce(args) -> tuple[dict, list[str], int]:
         body["output"] = {"edges": str(edges_path), "labels": str(labels_path)}
         lines.append(f"wrote: {edges_path} {labels_path}")
     else:
-        body["edge_list"] = format_edge_list(gg.graph).splitlines()
+        body["edge_list"] = rows = format_edge_list(gg.graph).splitlines()
         body["labels"] = labels
-        lines.append("edge list:")
-        lines.extend("  " + row for row in body["edge_list"])
-        lines.append("labels:")
-        lines.extend(f"  {name} -> {vid}" for name, vid in labels.items())
+        lines += ["edge list:", rows,
+                  "labels:", (f"{name} -> {vid}" for name, vid in labels.items())]
     if not args.check:
         return body, lines, EXIT_OK
 
@@ -351,12 +407,11 @@ def _cmd_reduce(args) -> tuple[dict, list[str], int]:
     for name, res, target in (("FTD", ftd, target_ftd), ("FD", fd, target_fd)):
         opt = "" if res.optimal else " (budget exhausted)"
         lines.append(f"{name} number: {res.size}{opt} (target {target})")
-    for c in checks:
-        lines.append(f"  [{'ok' if c['holds'] else 'FAIL'}] {c['name']}: {c['detail']}")
+    lines.append(f"[{'ok' if c['holds'] else 'FAIL'}] {c['name']}: {c['detail']}" for c in checks)
     return body, lines, EXIT_OK if ftd.optimal and fd.optimal else EXIT_BUDGET
 
 
-def _cmd_hypergraph(args) -> tuple[dict, list[str], int]:
+def _cmd_hypergraph(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     kind = _parsed(codes.CodeKind.parse, args.kind)
     h = codes.build_hypergraph(g, kind)
@@ -371,25 +426,22 @@ def _cmd_hypergraph(args) -> tuple[dict, list[str], int]:
     lines.append(f"kind: {kind.value}")
     if empty:
         lines.append("warning: hypergraph contains an empty hyperedge (no code exists)")
-    lines.append(f"hyperedges ({len(h.edges)}):")
-    lines.extend("  " + row for row in rows)
-    lines.append(f"reduced hyperedges ({len(reduced.edges)}):")
-    lines.extend("  " + row for row in reduced_rows)
+    lines += [f"hyperedges ({len(h.edges)}):", rows,
+              f"reduced hyperedges ({len(reduced.edges)}):", reduced_rows]
     return body, lines, EXIT_OK
 
 
-def _cmd_family(args) -> tuple[dict, list[str], int]:
+def _cmd_family(args) -> tuple[dict, list, int]:
     g, spec = _parsed(families.graph_from_spec_string, args.spec)
     formulas = {} if spec is None else {
         kind.value: families.formula_x_number(spec, kind) for kind in codes.CodeKind}
     rows = format_edge_list(g).splitlines()
     body = {"spec": args.spec, "graph": {"vertices": g.n, "edges": g.num_edges},
             "edge_list": rows, "known_numbers": formulas}
-    lines = [f"spec: {args.spec}", "edge list:"]
-    lines.extend("  " + row for row in rows)
+    lines = [f"spec: {args.spec}", "edge list:", rows]
     if formulas:
-        lines.append("known X-numbers:")
-        lines.extend(f"  {name}: {'-' if value is None else value}" for name, value in formulas.items())
+        lines += ["known X-numbers:",
+                  (f"{name}: {'-' if value is None else value}" for name, value in formulas.items())]
     return body, lines, EXIT_OK
 
 
@@ -418,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
                                           "command": _command_echo(args),
                                           "deterministic": args.deterministic, **body}))
         else:
-            sys.stdout.write("\n".join(lines) + "\n")
+            sys.stdout.write(render_text(lines))
         return exit_code
     except codes.NotAdmissibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

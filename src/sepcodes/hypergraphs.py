@@ -116,10 +116,11 @@ class Hypergraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"universe size must be non-negative, got {self.n}")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for m in self.edges:
-            if m < 0 or m >> self.n:
-                raise ValueError(f"hyperedge mask {m:#x} has bits outside 0..{self.n - 1}")
+        edges = tuple(self.edges)
+        object.__setattr__(self, "edges", edges)
+        if edges and (min(edges) < 0 or max(edges) >> self.n):
+            m = next(m for m in edges if m < 0 or m >> self.n)
+            raise ValueError(f"hyperedge mask {m:#x} has bits outside 0..{self.n - 1}")
 
     def has_empty_edge(self) -> bool:
         return 0 in self.edges

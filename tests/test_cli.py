@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -16,7 +18,8 @@ from sepcodes import (
     remove_redundant,
     x_number,
 )
-from sepcodes.cli import main, render_json
+from sepcodes import cli
+from sepcodes.cli import main, render_json, render_text
 from sepcodes.families import graph_from_spec_string
 
 from conftest import (
@@ -490,3 +493,133 @@ class TestReportStability:
         monkeypatch.setattr(sys, "stdout", BrokenPipe())
         assert main(["family", "path:3", *flags]) == 1
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+_TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ß", "→", "😀", "\u2028", "a", " ", "0"]
+
+
+def random_string(rng):
+    return "".join(rng.choice(_TRICKY) for _ in range(rng.randrange(6)))
+
+
+def random_json(rng, depth=0):
+    """A seeded JSON value; containers often empty, lists often of one type."""
+    roll = rng.randrange(12 if depth < 4 else 6)
+    if roll == 0:
+        return None
+    if roll == 1:
+        return rng.choice([True, False])
+    if roll == 2:
+        return rng.choice([0, -1, 7, 10 ** 30, -(2 ** 70)])
+    if roll == 3:
+        return rng.choice([0.5, -2.0, 1e300, float("inf"), float("-inf")])
+    if roll in (4, 5):
+        return random_string(rng)
+    size = rng.choice([0, 0, 1, 2, 5])
+    if roll in (6, 7):
+        return {random_string(rng): random_json(rng, depth + 1) for _ in range(size)}
+    if roll == 8:
+        return [random_string(rng) for _ in range(size)]
+    if roll == 9:
+        return [rng.randrange(-5, 10 ** 6) for _ in range(size)]
+    if roll == 10:
+        return [rng.choice([True, False, None, 3]) for _ in range(size)]
+    return [random_json(rng, depth + 1) for _ in range(size)]
+
+
+class TestRenderJson:
+    """render_json is json.dumps(sort_keys=True, indent=2) plus a newline, byte for byte."""
+
+    @staticmethod
+    def oracle(value):
+        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], None, True, False, 0, "", {"a": {}}, {"a": []}, [[]], [{}],
+        {"rows": ["0 1", "", "2"], "ids": [3, 1, 2], "flags": [True, False, 1]},
+        [{"b": 1, "a": [None]}, {}], ("tuple", 1), {"q": '"\\\x01é\u2028😀'},
+        {"B": 1, "a": 2, "_": 3, "é": 4, "": 5},
+    ])
+    def test_edge_cases(self, value):
+        assert render_json(value) == self.oracle(value)
+
+    def test_seeded_values(self):
+        rng = random.Random(2028)
+        kinds = set()
+        for _ in range(2000):
+            value = random_json(rng)
+            kinds.add(type(value))
+            assert render_json(value) == self.oracle(value), value
+        assert kinds == {type(None), bool, int, float, str, dict, list}
+
+    def test_seeded_reports(self):
+        """Report-shaped dicts: string keys over lists of dicts, rows and ids."""
+        rng = random.Random(311)
+        for _ in range(300):
+            report = {random_string(rng) or "k": random_json(rng, 1) for _ in range(6)}
+            report["results"] = [{"witness": [rng.randrange(99) for _ in range(rng.randrange(4))],
+                                  "optimal": rng.random() < 0.5, "reason": random_string(rng)}
+                                 for _ in range(rng.randrange(3))]
+            assert render_json(report) == self.oracle(report)
+
+    def test_cli_reports_match_the_oracle(self):
+        for argv in (("relations", "--family", "path:5+k1"),
+                     ("hypergraph", "--family", "path:2", "--kind", "id"),
+                     ("family", "thick:4")):
+            _, out = run_cli(*argv, "--deterministic", "--json")
+            assert out == self.oracle(json.loads(out))
+
+
+class TestRenderText:
+    def test_blocks_are_indented_rows(self):
+        lines = ["a", [], ["", "x"], "b", (row for row in ["y", "z"])]
+        assert render_text(lines) == "a\n  \n  x\nb\n  y\n  z\n"
+
+    def test_empty_hyperedge_rows(self):
+        code, out = run_cli("hypergraph", "--family", "path:2", "--kind", "id")
+        assert code == 0
+        assert out == ("source: family:path:2\nkind: ID\n"
+                       "warning: hypergraph contains an empty hyperedge (no code exists)\n"
+                       "hyperedges (3):\n  \n  0 1\n  0 1\n"
+                       "reduced hyperedges (1):\n  \n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reuse changes no output."""
+
+    SEQUENCE = [
+        ("solve", "--family", "path:6"),  # no --kind: argparse exits 2, main returns 1
+        ("solve", "--json", "--budget", "7", "--kind", "FD", "--family", "path:6"),
+        ("--help",),
+        ("solve", "--json", "--budget", "7", "--kind", "FD", "--family", "path:6"),
+    ]
+
+    @staticmethod
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    def test_reused_parser_matches_fresh_calls(self):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._build_parser.cache_clear()
+            fresh.append(self.call(argv))
+        cli._build_parser.cache_clear()
+        reused = [self.call(argv) for argv in self.SEQUENCE]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0]
+        assert "the following arguments are required: --kind" in reused[0][2]
+        assert reused[2][1].startswith("usage: sepcodes")
+        assert json.loads(reused[3][1])["command"] == \
+            "solve --family path:6 --kind fd --budget 7 --json"
+
+    def test_parser_built_on_first_call(self):
+        probe = ("import sepcodes.cli as c; a = c._build_parser.cache_info().misses; "
+                 "c.main(['--help']); print(a, c._build_parser.cache_info().misses)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.splitlines()[-1] == "0 1"

@@ -60,6 +60,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             hg(2, [2])
 
+    @pytest.mark.parametrize("edges, named", [
+        ([0b01, -1, 0b10], "-0x1"),
+        ([0b01, 0b100, 0b10], "0x4"),
+        ([0b11, 0b1000, -3, 0b100], "0x8"),  # the first offender, not the min or max
+        ([-2, 0b100], "-0x2"),
+    ])
+    def test_out_of_range_message_names_first_offender(self, edges, named):
+        with pytest.raises(ValueError) as info:
+            Hypergraph(2, edges)
+        assert str(info.value) == f"hyperedge mask {named} has bits outside 0..1"
+
     def test_negative_universe_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             Hypergraph(-1, [])
