@@ -24,8 +24,8 @@ C&OR 2011).  The uncovered edges are one int, and taking v is
 ``live &= ~inc[v]``.  Each edge's count of allowed (unbanned) members is
 kept bit-sliced in a few plane ints over edge indices, so unit edges
 and the branching edge each take a few whole-set operations, and banning
-v is one borrow-chain decrement on ``inc[v] & live``.  The search is an
-iterative depth-first loop over an explicit stack.
+v is one borrow-chain decrement on ``inc[v] & live``.  The search is a
+depth-first loop over a stack of one child generator per branching node.
 
 The set-up works on whole ints where the input is dense, that is where
 the mean edge size exceeds n / 10 (see :func:`_dense`).  There the
@@ -48,7 +48,7 @@ A branching node at ``best - 2`` chosen vertices has only leaf children,
 each a cover or cut by the bound.  A member that hits every live edge
 hits the most, so if any child covers, the first in the try order does:
 the node takes it as the incumbent, counts every child against the
-budget without visiting the others, and its close marker closes it.
+budget without visiting the others, and closes.
 Packing caches conflict sets (the OR of ``inc[v]`` over an edge's
 allowed members) keyed by those members, one lookup per packed edge,
 and clears the cache at ``len(masks)`` entries.
@@ -354,19 +354,39 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     nodes = 0
     table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
     conf: dict[int, int] = {}  # allowed members -> packing conflicts, filled on first use
-    # A node is (chosen, count, banned, live, planes): the chosen vertices
-    # and their number, the vertices banned by earlier siblings, the edges
-    # not yet hit by chosen, and the bit-sliced count of each live edge's
-    # allowed (unbanned) members.  Popping the last-pushed child first
-    # visits nodes in the preorder of the recursive search.
-    stack = [(0, 0, 0, (1 << len(masks)) - 1, _bit_slices(counts))]
+
+    def children(chosen, count, banned, live, planes, order):
+        # A branching node's children in the try order (from the end of order),
+        # each banning those tried before; then the finished node enters the table.
+        while order:
+            v = order.pop()
+            yield chosen | 1 << v, count + 1, banned, live & ~inc[v], planes
+            if not order:
+                break
+            banned |= 1 << v
+            # Bit-sliced decrement of the live counts under v: each is >= 1, so the borrow dies out.
+            borrow = live & inc[v]
+            planes = planes[:]
+            j = 0
+            while borrow:
+                p = planes[j]
+                planes[j] = p ^ borrow
+                borrow &= ~p
+                j += 1
+        if len(table) >= TABLE_LIMIT:
+            table.clear()
+        table[live] = best_size - count
+
+    # A node is (chosen, count, banned, live, planes): the chosen vertices and
+    # their number, the vertices banned by earlier siblings, the uncovered edges
+    # and their bit-sliced allowed counts.  One generator per open branching node.
+    stack = [iter([(0, 0, 0, (1 << len(masks)) - 1, _bit_slices(counts))])]
     while stack and nodes <= budget:
-        chosen, count, banned, live, planes = stack.pop()
-        if planes is None:  # close marker: the subtree above it is finished
-            if len(table) >= TABLE_LIMIT:
-                table.clear()
-            table[live] = best_size - count
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
             continue
+        chosen, count, banned, live, planes = node
         nodes += 1
         if nodes > budget:
             break
@@ -393,20 +413,17 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                 or count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size):
             continue
         # Branch on the first live edge of minimum allowed count.  Its
-        # members are tried by the most live edges hit, ties by least id
-        # (from the end of order); each sibling bans those tried before.
+        # members are tried by the most live edges hit, ties by least id.
         least = live
         for p in reversed(planes):
             if least & ~p:
                 least &= ~p
         pick = masks[(least & -least).bit_length() - 1] & ~banned
-        stack.append((0, count, 0, live, None))  # close marker, popped after the children
         if count + 2 == best_size:
-            # Every child is a leaf at best_size - 1.  A member that hits
-            # every live edge comes first in the try order, the least id of
-            # them, so the first child is the incumbent if any covers, and
-            # the bound cuts every other child; the marker closes this node.
-            # Such a member lies in the last live edge too.
+            # Every child is a leaf at best_size - 1.  Members that hit every
+            # live edge, so lie in the last one, come first in the try order:
+            # the first child is the incumbent if any covers, and the bound
+            # cuts the others.  A generator without children closes the node.
             cover = pick & masks[live.bit_length() - 1]
             while cover and live & ~inc[(cover & -cover).bit_length() - 1]:
                 cover &= cover - 1
@@ -417,25 +434,8 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
                     nodes += 1
                     break
             nodes = min(nodes + pick.bit_count(), budget + 1)
+            stack.append(children(chosen, count, banned, live, planes, []))
             continue
         order = sorted(bit_ids(pick), key=lambda v: ((live & inc[v]).bit_count(), -v))
-        children = []
-        while True:
-            v = order.pop()
-            hit = inc[v]
-            children.append((chosen | 1 << v, count + 1, banned, live & ~hit, planes))
-            if not order:
-                break
-            banned |= 1 << v
-            # Bit-sliced decrement of the allowed counts of the live edges
-            # under v; every such count is >= 1, so the borrow dies out.
-            borrow = live & hit
-            planes = planes[:]
-            j = 0
-            while borrow:
-                p = planes[j]
-                planes[j] = p ^ borrow
-                borrow &= ~p
-                j += 1
-        stack.extend(reversed(children))
+        stack.append(children(chosen, count, banned, live, planes, order))
     return CoverResult(best_size, VertexSet(h.n, best_mask), nodes <= budget, nodes)

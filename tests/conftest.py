@@ -257,11 +257,13 @@ def reference_min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult
 
 # --- the table engine, node for node ----------------------------------------
 #
-# A copy of the transposition-table engine (one stack entry per child,
-# packing conflicts recomputed per edge), in the engine's try order.  It
-# shares the package's edge filter, incidence and bit-slice helpers and
-# starts from the reference greedy, so the search loop, the packing bound
-# and the lazy greedy are under test.
+# A copy of the transposition-table engine in the engine's try order.  It
+# pushes every child of a branching node at once, each past the first with
+# its own count planes, over a close marker; the engine makes one child at
+# a time from a generator.  It recomputes packing conflicts per edge, shares
+# the package's edge filter, incidence and bit-slice helpers and starts from
+# the reference greedy, so the search loop, the packing bound and the lazy
+# greedy are under test.
 
 
 def reference_table_packing(masks: Sequence[int], inc: list[int], live: int, banned: int, limit: int) -> int:

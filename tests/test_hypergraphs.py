@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -363,6 +364,18 @@ def awkward_hypergraph(rng: random.Random) -> Hypergraph:
     return Hypergraph(n, edges)
 
 
+def wide_hypergraphs(seed: int = 31, count: int = 5) -> list[Hypergraph]:
+    """Seeded hypergraphs on 30-44 vertices whose 30-60 edges have 10-30
+    members each, so branching nodes have many siblings; tau is 3 or 4."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(30, 44)
+        cases.append(Hypergraph(n, [sum(1 << v for v in rng.sample(range(n), rng.randint(10, 30)))
+                                    for _ in range(rng.randint(30, 60))]))
+    return cases
+
+
 def cover_outcome(solve, h, budget):
     try:
         res = solve(h, budget)
@@ -522,8 +535,9 @@ class TestSearchOnFilterOrder:
 
 
 class TestNodeForNode:
-    """Unit propagation ahead of the single cut chain, leaf children
-    expanded in place and closed by the branching node's marker, and
+    """Unit propagation ahead of the single cut chain, children made one at
+    a time by their branching node's generator, leaf children expanded in
+    place and the node closed by a generator without children, and
     packing conflicts cached by allowed members (cleared once the cache
     holds one entry per edge) change no node: size, witness, flag and
     ``nodes_explored`` all match the table engine, which pushes every child
@@ -540,6 +554,16 @@ class TestNodeForNode:
             assert got == cover_outcome(reference_table_min_cover, h, budget), budget
             assert got[2:] == ((False, budget + 1) if budget < nodes else (True, nodes))
 
+    def test_every_budget_on_wide_edges(self):
+        # branching edges of 10-30 members: every budget up to the unbounded
+        # count, so many run out between two siblings of one node
+        for h in wide_hypergraphs():
+            nodes = min_cover(h).nodes_explored
+            assert nodes > 60, (h.n, h.edges)
+            for budget in range(0, nodes + 1):
+                got = cover_outcome(min_cover, h, budget)
+                assert got == cover_outcome(reference_table_min_cover, h, budget), (h.n, h.edges, budget)
+
     @pytest.mark.parametrize("limit", [1, 2, 3])
     def test_tiny_table_limit(self, monkeypatch, limit):
         # the table engine reads the patched limit too; at limit 3 a leaf
@@ -553,7 +577,7 @@ class TestNodeForNode:
             assert got == cover_outcome(reference_table_min_cover, h, None), (spec, kind)
 
     def test_incumbent_from_a_popped_child(self):
-        # a child pushed on the stack covers every edge, so popping it
+        # a child made by its parent's generator covers every edge, so visiting it
         # improves the incumbent (greedy 5 -> 3)
         h = hypergraph_from_sets(10, [[1, 3, 7], [0, 2, 7], [3, 5, 6, 8], [0, 4, 6], [3, 4, 7],
                                       [0, 2, 5], [6, 9], [4, 5, 7], [5, 8], [3, 4, 6, 9],
@@ -689,6 +713,22 @@ class TestLowerBoundStop:
     """With ``lower`` = tau the search visits the nodes it visits without
     it, up to the first incumbent of size tau, and stops there."""
 
+    @staticmethod
+    def check_stop(h: Hypergraph) -> bool:
+        """Checks the stop at several budgets; returns whether it comes
+        before the plain search ends."""
+        tau = min_cover(h).size
+        # the least budget at which the plain search holds a tau-cover
+        first = next(b for b in itertools.count() if min_cover(h, b).size == tau)
+        bounded = Hypergraph(h.n, h.edges, lower=tau)
+        for budget in (0, 1, 2, 3, 10, 50, None):
+            plain, stopped = min_cover(h, budget), min_cover(bounded, budget)
+            cap = hypergraphs.DEFAULT_NODE_BUDGET if budget is None else budget
+            assert (stopped.size, stopped.witness) == (plain.size, plain.witness)
+            assert stopped.nodes_explored == min(first, cap + 1), (h.n, h.edges, budget)
+            assert stopped.optimal == (first <= cap)
+        return 0 < first < min_cover(h).nodes_explored
+
     def test_stops_at_the_first_optimal_incumbent(self):
         rng = random.Random(64)
         cases = [awkward_hypergraph(rng) for _ in range(1000)]
@@ -698,18 +738,49 @@ class TestLowerBoundStop:
         for h in cases:
             if h.has_empty_edge() or not h.edges:  # no cover, or tau = 0: no bound to pass
                 continue
-            tau = min_cover(h).size
-            # the least budget at which the plain search holds a tau-cover
-            first = next(b for b in itertools.count() if min_cover(h, b).size == tau)
-            stopped_early += 0 < first < min_cover(h).nodes_explored
-            bounded = Hypergraph(h.n, h.edges, lower=tau)
-            for budget in (0, 1, 2, 3, 10, 50, None):
-                plain, stopped = min_cover(h, budget), min_cover(bounded, budget)
-                cap = hypergraphs.DEFAULT_NODE_BUDGET if budget is None else budget
-                assert (stopped.size, stopped.witness) == (plain.size, plain.witness)
-                assert stopped.nodes_explored == min(first, cap + 1), (h.n, h.edges, budget)
-                assert stopped.optimal == (first <= cap)
+            stopped_early += self.check_stop(h)
         assert stopped_early >= 10
+
+    def test_stops_inside_a_later_sibling_on_wide_edges(self, monkeypatch):
+        # A node has a banned vertex only past the first dive, inside a
+        # later sibling of one of its ancestors, and so is every node after
+        # it.  The packing bound sees the banned vertices of the nodes it
+        # runs at; a stop after such a node is inside a later sibling.
+        packing, banned_seen = hypergraphs._packing, []
+
+        def recorded(masks, inc, conf, live, banned, limit):
+            banned_seen.append(banned)
+            return packing(masks, inc, conf, live, banned, limit)
+
+        monkeypatch.setattr(hypergraphs, "_packing", recorded)
+        inside = 0
+        for h in wide_hypergraphs(count=30):  # on most, the root greedy is optimal: no stop
+            tau = min_cover(h).size
+            banned_seen.clear()
+            min_cover(Hypergraph(h.n, h.edges, lower=tau))
+            stopped_in_a_later_sibling = any(banned_seen)
+            inside += self.check_stop(h) and stopped_in_a_later_sibling
+        assert inside >= 3  # 4 of the 10 that stop early
+
+
+class TestSearchMemory:
+    """A branching node makes its next child only when the search reaches
+    it, so the stack holds no pending siblings with their count planes."""
+
+    def test_wide_edges_peak(self):
+        # 1,000 edges of 150 members over 400 vertices, budget 100: the
+        # bound lies between the 1.38 MB peak of pushing every sibling up
+        # front and the 0.88 MB of one child generator per branching node
+        rng = random.Random(5)
+        h = Hypergraph(400, [sum(1 << v for v in rng.sample(range(400), 150)) for _ in range(1000)])
+        tracemalloc.start()
+        try:
+            res = min_cover(h, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.size, res.optimal, res.nodes_explored) == (8, False, 101)
+        assert peak < 1_100_000, peak
 
 
 def is_dense(n: int, masks) -> bool:
