@@ -15,7 +15,8 @@ The hyperedge recipe per type is a triple of families:
 This module also provides the admissibility test, the definitional
 verifier (independent of the hypergraph route; full separation is closed
 plus open separation), full-separation forced vertices, and the
-end-to-end exact X-number computation.
+end-to-end exact X-number computation, for one kind or for several
+kinds in one pass that shares bounds and codes.
 
 Everything here reads the graph's stored rows, ``g.rows`` (open
 neighborhoods N(v)) and ``g.closed_rows`` (closed neighborhoods N[v]):
@@ -36,7 +37,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import comb
-from typing import Sequence
+from typing import Collection, Iterator, Sequence
 
 from .graphs import Graph, GraphFormatError, UniverseMismatchError, VertexSet, bit_ids, first_equal_row_pair
 from .hypergraphs import CoverResult, Hypergraph, min_cover
@@ -360,10 +361,57 @@ def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult
     MAX_HYPERGRAPH_VERTICES vertices.  On budget exhaustion the result
     carries the best code found, flagged non-optimal.
     """
+    return _x_number(g, kind, budget)
+
+
+# The order in which x_numbers solves kinds.  Each kind follows the kinds
+# below it in KIND_INEQUALITIES, except that OTD precedes OD and FTD
+# precedes FD, so their codes can start the OD and FD searches.
+LATTICE_ORDER = tuple(CodeKind[k] for k in "LD ID LTD ITD OTD OD FTD FD".split())
+
+
+def x_numbers(g: Graph, kinds: Collection[CodeKind],
+              budget: int | None = None) -> Iterator[tuple[CodeKind, CoverResult]]:
+    """:func:`x_number` of each of the given kinds, solved one after the
+    other in LATTICE_ORDER, each yielded once solved.
+
+    Each search reads what the pass has settled.  Its lower bound is the
+    largest size proven for a kind below it in KIND_INEQUALITIES, for FD
+    also a proven FTD - 1 (the paper's FTD - 1 <= FD), where that beats
+    the trace bound.  Its first incumbent is the smallest code found for a
+    kind above it, every such code being a code of this kind, where that
+    beats the greedy cover.  Every search has its own budget.  So proven
+    sizes are x_number's, and a search visits no more nodes.
+    """
+    proven: dict[CodeKind, int] = {}
+    found: dict[CodeKind, int] = {}  # kind -> mask of its code
+    for kind in LATTICE_ORDER:
+        if kind not in kinds:
+            continue
+        lower = max([proven[lo] for lo, hi, _ in KIND_INEQUALITIES if hi is kind and lo in proven],
+                    default=0)
+        if kind is CodeKind.FD and CodeKind.FTD in proven:
+            lower = max(lower, proven[CodeKind.FTD] - 1)
+        start = min([found[hi] for lo, hi, _ in KIND_INEQUALITIES if lo is kind and hi in found],
+                    key=int.bit_count, default=None)
+        result = _x_number(g, kind, budget, lower, start)
+        found[kind] = result.witness.mask
+        if result.optimal:
+            proven[kind] = result.size
+        yield kind, result
+
+
+def _x_number(g: Graph, kind: CodeKind, budget: int | None, lower: int = 0,
+              start: int | None = None) -> CoverResult:
+    """x_number's search with ``lower`` as the hypergraph's lower bound
+    where it beats the trace bound, and ``start`` passed to min_cover."""
     failure = admissibility_failure(g, kind)
     if failure is not None:
         raise NotAdmissibleError(kind, failure)
-    result = min_cover(solver_hypergraph(g, kind), budget)
+    h = solver_hypergraph(g, kind)
+    if lower > h.lower:
+        h = replace(h, lower=lower)
+    result = min_cover(h, budget, start)
     if not verify_code(g, kind, result.witness):
         raise CoverCodeMismatchError(
             f"cover {result.witness.sorted_ids()} of the {kind.value}-hypergraph "

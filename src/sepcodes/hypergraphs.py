@@ -14,6 +14,7 @@ branch-and-bound over int bitmasks:
   siblings, so subtrees are disjoint),
 * the upper bound starts from the greedy cover by Jeroslow and Wang's
   rule, each uncovered edge e weighing 2^-|e| (see :func:`_greedy_mask`),
+  or from a smaller cover the caller gives,
 * the lower bound is a greedy packing of pairwise-disjoint uncovered
   hyperedges, smallest edge first.
 
@@ -67,8 +68,8 @@ strictly better cover, so the incumbents, and the witness of a proven
 search, are those of the search without the table.  A full table
 (``TABLE_LIMIT`` entries) is cleared.
 
-A hypergraph may carry ``lower``, a lower bound on tau: a greedy cover no
-larger returns at once with 0 nodes, and the search stops at the first
+A hypergraph may carry ``lower``, a lower bound on tau: a first incumbent
+no larger returns at once with 0 nodes, and the search stops at the first
 such incumbent, having visited the same nodes (0 stops nothing).
 
 The search is sequential and fully deterministic: the witness is the
@@ -328,13 +329,15 @@ def _bit_slices(counts: list[int]) -> list[int]:
     return _transpose(max(counts, default=0).bit_length(), counts)
 
 
-def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
+def min_cover(h: Hypergraph, budget: int | None = None, start: int | None = None) -> CoverResult:
     """Exact minimum cover by branch-and-bound (see module docstring).
 
-    A greedy cover no larger than ``h.lower`` returns with 0 nodes; else
-    the search stops at the first incumbent no larger, after the nodes it
-    visits without the bound.  Raises
-    EmptyHyperedgeError if no cover exists, ValueError if budget < 0.
+    ``start``, a cover mask, is the first incumbent in place of the greedy
+    cover when it is smaller.  A first incumbent no larger than ``h.lower``
+    returns with 0 nodes; else the search stops at the first incumbent no
+    larger, after the nodes it visits without the bound.  Raises
+    EmptyHyperedgeError if no cover exists, ValueError if budget < 0 or
+    if ``start`` misses an edge or holds a vertex outside the universe.
     ``optimal`` is ``nodes_explored <= budget`` (budget + 1 when exhausted).
     """
     if budget is None:
@@ -347,6 +350,11 @@ def min_cover(h: Hypergraph, budget: int | None = None) -> CoverResult:
     counts = [m.bit_count() for m in masks]
     inc = _incidence(h.n, masks, counts)
     best_mask = _greedy_mask(inc, counts)
+    if start is not None:
+        if start < 0 or start >> h.n or not all(m & start for m in masks):
+            raise ValueError(f"start {start:#x} is not a cover of the hypergraph")
+        if start.bit_count() < best_mask.bit_count():
+            best_mask = start
     best_size = best_mask.bit_count()
     lower = h.lower
     if lower and best_size <= lower:

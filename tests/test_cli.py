@@ -259,6 +259,14 @@ class TestRelations:
         ftd = x_number(induced_subgraph(g, others), CodeKind.FTD).size
         assert gap[0]["detail"].split("== ")[1] == f"{ftd}+1"
 
+    @pytest.mark.parametrize("spec, fd", [("path:60", 40), ("path:72", 48), ("path:96", 64)])
+    def test_paths_prove_every_kind(self, spec, fd):
+        # FD starts from FTD's code, which meets FD's lower bound
+        code, report = run_json("relations", "--family", spec, "--budget", "50000")
+        assert code == 0 and report["violations"] == []
+        assert all(r["admissible"] and r["optimal"] for r in report["results"])
+        assert {r["kind"]: r["size"] for r in report["results"]}["FD"] == fd
+
     def test_unproven_sizes_are_not_checked(self):
         # FD's incumbent 13 equals FTD, so reading it would add FTD-1<=FD<=FTD
         code, report = run_json("relations", "--family", "cycle:19", "--budget", "100")
@@ -339,9 +347,11 @@ class TestReduce:
         assert "not FTD-admissible" in capsys.readouterr().err
 
     def test_check_budget_exhausted(self, tmp_path):
+        # FTD proves in 3 nodes; FD, bounded by FTD - 1 = 28 and started
+        # from FTD's code, stays at 29 after its own 3 nodes
         cnf = tmp_path / "f.cnf"
-        cnf.write_text(self.DIMACS, encoding="utf-8")
-        code, report = run_json("reduce", str(cnf), "--check", "--budget", "1")
+        cnf.write_text("p cnf 3 4\n-1 0\n3 2 0\n1 -2 0\n2 -3 -1 0\n", encoding="utf-8")
+        code, report = run_json("reduce", str(cnf), "--check", "--budget", "3")
         assert code == 2
         assert report["check"]["ftd"]["optimal"] and not report["check"]["fd"]["optimal"]
 

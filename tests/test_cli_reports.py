@@ -192,7 +192,7 @@ checks: 5/5 hold
     {
       "admissible": true,
       "kind": "FD",
-      "nodes": 1,
+      "nodes": 0,
       "optimal": true,
       "size": 1,
       "wall_ms": 0,
@@ -208,7 +208,7 @@ checks: 5/5 hold
     {
       "admissible": true,
       "kind": "OD",
-      "nodes": 1,
+      "nodes": 0,
       "optimal": true,
       "size": 1,
       "wall_ms": 0,
@@ -269,7 +269,7 @@ FD number: 8 (target 8)
       }
     ],
     "fd": {
-      "nodes": 1,
+      "nodes": 0,
       "optimal": true,
       "size": 8
     },

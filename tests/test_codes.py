@@ -38,11 +38,13 @@ from sepcodes import (
 )
 from sepcodes import codes
 from sepcodes.codes import (
+    LATTICE_ORDER,
     MAX_HYPERGRAPH_VERTICES,
     _trace_bound,
     admissibility_failure,
     far_pairs_redundant,
     solver_hypergraph,
+    x_numbers,
 )
 from sepcodes.families import graph_from_spec_string
 from sepcodes.sat_reduction import CnfFormula, build_gadget
@@ -502,7 +504,7 @@ class TestXNumber:
         # a search defect must surface as an internal error, never as an
         # answer or as a usage error
         monkeypatch.setattr(codes, "min_cover",
-                            lambda h, budget: CoverResult(0, VertexSet(h.n), True, 1))
+                            lambda h, budget, start: CoverResult(0, VertexSet(h.n), True, 1))
         with pytest.raises(CoverCodeMismatchError) as info:
             x_number(path(5), CodeKind.FD)
         assert not isinstance(info.value, ValueError)
@@ -510,7 +512,7 @@ class TestXNumber:
     def test_non_code_check_survives_optimize(self):
         script = (
             "import sepcodes.codes as c\n"
-            "c.min_cover = lambda h, budget: c.CoverResult(0, c.VertexSet(h.n), True, 1)\n"
+            "c.min_cover = lambda h, budget, start: c.CoverResult(0, c.VertexSet(h.n), True, 1)\n"
             "try:\n"
             "    c.x_number(c.Graph.from_edges(2, [(0, 1)]), c.CodeKind.LD)\n"
             "except c.CoverCodeMismatchError:\n"
@@ -547,6 +549,59 @@ class TestXNumber:
                                check=True).stdout
                 for seed in ("1", "2")]
         assert outs[0] == outs[1] and outs[0].startswith("24 ")
+
+
+class TestXNumbers:
+    """The one pass over several kinds against one x_number per kind.  The
+    inequalities feed the pass's bounds, so the `relations` checks alone
+    could no longer catch a wrong bound; this comparison does."""
+
+    def test_lattice_order(self):
+        # each kind after the kinds below it, but OTD before OD and FTD
+        # before FD, whose searches start from their codes
+        at = {kind: i for i, kind in enumerate(LATTICE_ORDER)}
+        assert at.keys() == set(ALL_KINDS)
+        late = {(lo, hi) for lo, hi, _case in KIND_INEQUALITIES if at[lo] > at[hi]}
+        assert late == {(CodeKind.OD, CodeKind.OTD), (CodeKind.FD, CodeKind.FTD)}
+
+    @pytest.mark.parametrize("budget", [3, 10, 50_000])
+    def test_matches_one_search_per_kind(self, budget):
+        rng = random.Random(300 + budget)
+        pairs = nodes_pass = nodes_alone = 0
+        for i in range(300):
+            g = random_gnp(rng.randint(3, 12), (0.2, 0.3, 0.5)[i % 3], rng)
+            kinds = [kind for kind in ALL_KINDS if is_admissible(g, kind)]
+            solved = list(x_numbers(g, kinds, budget))
+            assert [kind for kind, _ in solved] == [k for k in LATTICE_ORDER if k in kinds]
+            proven = {}
+            for kind, res in solved:
+                alone = x_number(g, kind, budget)
+                assert verify_code(g, kind, res.witness) and len(res.witness) == res.size
+                assert res.optimal or not alone.optimal  # no proof lost
+                if res.optimal and alone.optimal:
+                    assert res.size == alone.size
+                assert res.size <= alone.size and res.nodes_explored <= alone.nodes_explored
+                if res.optimal:
+                    proven[kind] = res.size
+                pairs += 1
+                nodes_pass += res.nodes_explored
+                nodes_alone += alone.nodes_explored
+            for lo, hi, _case in KIND_INEQUALITIES:
+                if lo in proven and hi in proven:
+                    assert proven[lo] <= proven[hi]
+            if CodeKind.FD in proven and CodeKind.FTD in proven:
+                assert proven[CodeKind.FTD] - 1 <= proven[CodeKind.FD] <= proven[CodeKind.FTD]
+        assert pairs > 1000 and nodes_pass < nodes_alone
+
+    def test_one_kind_is_x_number(self):
+        for g in seeded_graphs(69, 26):
+            for kind in ALL_KINDS:
+                if is_admissible(g, kind):
+                    assert list(x_numbers(g, {kind}, 5)) == [(kind, x_number(g, kind, 5))]
+
+    def test_inadmissible_kind_raises(self):
+        with pytest.raises(NotAdmissibleError):
+            list(x_numbers(path(3), ALL_KINDS))
 
 
 class TestTraceBound:

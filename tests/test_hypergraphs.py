@@ -226,6 +226,39 @@ class TestMinCover:
         with pytest.raises(ValueError):
             x_number(g, CodeKind.FTD, budget=-2)
 
+    def test_start_that_misses_an_edge_rejected(self):
+        h = hg(3, [0, 1], [2])
+        for start in (0b011, 0b100, 0b1101, -1):  # 0b1101 holds vertex 3, outside the universe
+            with pytest.raises(ValueError, match="not a cover"):
+                min_cover(h, start=start)
+
+    def test_start_meeting_lower_returns_at_once(self):
+        # the trace bound of path:72 FD is its optimum, 48; the greedy
+        # cover is larger and the search does not reach 48 in 50,000 nodes,
+        # but FTD's code is an FD code of size 48
+        g, _ = graph_from_spec_string("path:72")
+        h = solver_hypergraph(g, CodeKind.FD)
+        assert h.lower == 48
+        assert not min_cover(h, 50_000).optimal
+        start = x_number(g, CodeKind.FTD).witness.mask
+        res = min_cover(h, 0, start)
+        assert (res.size, res.witness.mask, res.optimal, res.nodes_explored) == (48, start, True, 0)
+
+    def test_start_replaces_only_a_larger_greedy_cover(self):
+        # an optimal start is the witness, found or given, and saves the
+        # nodes spent on finding it
+        rng = random.Random(23)
+        saved = 0
+        for _ in range(60):
+            h = random_hypergraph(rng, rng.randint(8, 20), rng.randint(10, 40))
+            plain = min_cover(h)
+            assert min_cover(h, None, (1 << h.n) - 1) == plain
+            res = min_cover(h, None, plain.witness.mask)
+            assert (res.size, res.witness, res.optimal) == (plain.size, plain.witness, True)
+            assert res.nodes_explored <= plain.nodes_explored
+            saved += res.nodes_explored < plain.nodes_explored
+        assert saved >= 3  # 4 of 60
+
     def test_deterministic_witness(self):
         rng = random.Random(8)
         for _ in range(10):
