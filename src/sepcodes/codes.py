@@ -315,8 +315,8 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
 
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """:func:`verify_code` behind a guard on the kind, FD or FTD: no faster
-    check.  Kept, like :func:`~sepcodes.hypergraphs.greedy_cover`, only
-    while the benchmark calls it (ROADMAP item 1).
+    check.  It stays, like :func:`~sepcodes.hypergraphs.greedy_cover`,
+    only while ``bench/workloads.py`` reads it.
 
     Raises ValueError for any other kind.
     """
@@ -353,15 +353,18 @@ def forced_vertices(g: Graph) -> VertexSet:
 def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult:
     """Exact X-number of g: minimum cover of the X-hypergraph.
 
-    The cover search reads :func:`solver_hypergraph`, whose redundancy
-    removal gives the definitional build's edges in the same order, so
-    the search visits the same nodes; both stop at a cover meeting
-    :func:`_trace_bound`.  Raises NotAdmissibleError when no
-    code of this kind exists, GraphFormatError above
-    MAX_HYPERGRAPH_VERTICES vertices.  On budget exhaustion the result
-    carries the best code found, flagged non-optimal.
+    This is the one-kind pass of :func:`x_numbers`, where no other kind
+    gives a bound or a first incumbent.  The cover search reads
+    :func:`solver_hypergraph`, whose redundancy removal gives the
+    definitional build's edges in the same order, so the search visits
+    the same nodes; both stop at a cover meeting :func:`_trace_bound`.
+    Raises NotAdmissibleError when no code of this kind exists,
+    GraphFormatError above MAX_HYPERGRAPH_VERTICES vertices.  On budget
+    exhaustion the result carries the best code found, flagged
+    non-optimal.
     """
-    return _x_number(g, kind, budget)
+    [(_, result)] = x_numbers(g, (kind,), budget)
+    return result
 
 
 # The order in which x_numbers solves kinds.  Each kind follows the kinds
@@ -372,16 +375,19 @@ LATTICE_ORDER = tuple(CodeKind[k] for k in "LD ID LTD ITD OTD OD FTD FD".split()
 
 def x_numbers(g: Graph, kinds: Collection[CodeKind],
               budget: int | None = None) -> Iterator[tuple[CodeKind, CoverResult]]:
-    """:func:`x_number` of each of the given kinds, solved one after the
-    other in LATTICE_ORDER, each yielded once solved.
+    """The X-number of each of the given kinds, solved one after the other
+    in LATTICE_ORDER, each yielded once solved; :func:`x_number` is the
+    pass over one kind.
 
-    Each search reads what the pass has settled.  Its lower bound is the
-    largest size proven for a kind below it in KIND_INEQUALITIES, for FD
-    also a proven FTD - 1 (the paper's FTD - 1 <= FD), where that beats
-    the trace bound.  Its first incumbent is the smallest code found for a
-    kind above it, every such code being a code of this kind, where that
-    beats the greedy cover.  Every search has its own budget.  So proven
-    sizes are x_number's, and a search visits no more nodes.
+    A kind's solve checks admissibility, searches
+    :func:`solver_hypergraph` and checks the witness against
+    :func:`verify_code`.  Each search reads what the pass has settled.
+    Its lower bound is the largest size proven for a kind below it in
+    KIND_INEQUALITIES, for FD also a proven FTD - 1 (the paper's
+    FTD - 1 <= FD), where that beats the trace bound.  Its first incumbent
+    is the smallest code found for a kind above it, every such code being
+    a code of this kind, where that beats the greedy cover.  Every search
+    has its own budget, and visits no more nodes than alone.
     """
     proven: dict[CodeKind, int] = {}
     found: dict[CodeKind, int] = {}  # kind -> mask of its code
@@ -394,27 +400,20 @@ def x_numbers(g: Graph, kinds: Collection[CodeKind],
             lower = max(lower, proven[CodeKind.FTD] - 1)
         start = min([found[hi] for lo, hi, _ in KIND_INEQUALITIES if lo is kind and hi in found],
                     key=int.bit_count, default=None)
-        result = _x_number(g, kind, budget, lower, start)
+        failure = admissibility_failure(g, kind)
+        if failure is not None:
+            raise NotAdmissibleError(kind, failure)
+        h = solver_hypergraph(g, kind)
+        if lower > h.lower:
+            h = replace(h, lower=lower)
+        result = min_cover(h, budget, start)
+        if not verify_code(g, kind, result.witness):
+            raise CoverCodeMismatchError(
+                f"cover {result.witness.sorted_ids()} of the {kind.value}-hypergraph "
+                f"is not a {kind.value}-code"
+            )
         found[kind] = result.witness.mask
         if result.optimal:
             proven[kind] = result.size
         yield kind, result
 
-
-def _x_number(g: Graph, kind: CodeKind, budget: int | None, lower: int = 0,
-              start: int | None = None) -> CoverResult:
-    """x_number's search with ``lower`` as the hypergraph's lower bound
-    where it beats the trace bound, and ``start`` passed to min_cover."""
-    failure = admissibility_failure(g, kind)
-    if failure is not None:
-        raise NotAdmissibleError(kind, failure)
-    h = solver_hypergraph(g, kind)
-    if lower > h.lower:
-        h = replace(h, lower=lower)
-    result = min_cover(h, budget, start)
-    if not verify_code(g, kind, result.witness):
-        raise CoverCodeMismatchError(
-            f"cover {result.witness.sorted_ids()} of the {kind.value}-hypergraph "
-            f"is not a {kind.value}-code"
-        )
-    return result

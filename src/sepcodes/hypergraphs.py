@@ -68,15 +68,17 @@ strictly better cover, so the incumbents, and the witness of a proven
 search, are those of the search without the table.  A full table
 (``TABLE_LIMIT`` entries) is cleared.
 
-A hypergraph may carry ``lower``, a lower bound on tau: a first incumbent
-no larger returns at once with 0 nodes, and the search stops at the first
-such incumbent, having visited the same nodes (0 stops nothing).
-
 The search is sequential and fully deterministic: the witness is the
-first optimum reached under this fixed order.  A node budget caps the
-search, which runs while ``nodes <= budget``, and ``optimal`` is
-``nodes <= budget``: an exhausted search yields the best cover found so
-far (never silently truncated) with ``nodes_explored`` = ``budget + 1``.
+first optimum reached under this fixed order.  It has one stop rule, its
+loop condition: it runs while nodes are open, ``nodes <= budget`` and the
+incumbent is larger than ``lower``.  A hypergraph may carry ``lower``, a
+lower bound on tau (0 stops nothing): a first incumbent no larger is
+returned with 0 nodes, and a later one ends the search at the node that
+found it, the nodes before it being those of the search without the
+bound.  ``optimal`` is ``nodes <= budget``: an exhausted search yields
+the best cover found so far (never silently truncated) with
+``nodes_explored`` = ``budget + 1``, the node past the cap counted, not
+visited.
 """
 
 from __future__ import annotations
@@ -310,8 +312,8 @@ def greedy_cover(h: Hypergraph) -> CoverResult:
 
     Flagged optimal only when the greedy size matches the disjoint-packing
     lower bound of the hypergraph.  :func:`min_cover` starts from the same
-    greedy cover; this entry point is kept only while the benchmark's
-    greedy probe calls it (ROADMAP item 1).
+    greedy cover; this entry point stays only while ``bench/workloads.py``
+    reads it, in its greedy probe.
     """
     if h.has_empty_edge():
         raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
@@ -333,9 +335,10 @@ def min_cover(h: Hypergraph, budget: int | None = None, start: int | None = None
     """Exact minimum cover by branch-and-bound (see module docstring).
 
     ``start``, a cover mask, is the first incumbent in place of the greedy
-    cover when it is smaller.  A first incumbent no larger than ``h.lower``
-    returns with 0 nodes; else the search stops at the first incumbent no
-    larger, after the nodes it visits without the bound.  Raises
+    cover when it is smaller.  The search runs while nodes are open, the
+    budget lasts and the incumbent is larger than ``h.lower``: a first
+    incumbent no larger returns with 0 nodes, a later one after the nodes
+    the search visits without the bound.  Raises
     EmptyHyperedgeError if no cover exists, ValueError if budget < 0 or
     if ``start`` misses an edge or holds a vertex outside the universe.
     ``optimal`` is ``nodes_explored <= budget`` (budget + 1 when exhausted).
@@ -356,9 +359,7 @@ def min_cover(h: Hypergraph, budget: int | None = None, start: int | None = None
         if start.bit_count() < best_mask.bit_count():
             best_mask = start
     best_size = best_mask.bit_count()
-    lower = h.lower
-    if lower and best_size <= lower:
-        return CoverResult(best_size, VertexSet(h.n, best_mask), True, 0)
+    lower = h.lower or -1  # no bound (0) stops nothing, not even a search with tau 0
     nodes = 0
     table: dict[int, int] = {}  # live -> lower bound on a cover of those edges
     conf: dict[int, int] = {}  # allowed members -> packing conflicts, filled on first use
@@ -389,15 +390,15 @@ def min_cover(h: Hypergraph, budget: int | None = None, start: int | None = None
     # their number, the vertices banned by earlier siblings, the uncovered edges
     # and their bit-sliced allowed counts.  One generator per open branching node.
     stack = [iter([(0, 0, 0, (1 << len(masks)) - 1, _bit_slices(counts))])]
-    while stack and nodes <= budget:
+    while stack and nodes <= budget and best_size > lower:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        chosen, count, banned, live, planes = node
         nodes += 1
         if nodes > budget:
-            break
+            continue  # counted, not visited: the loop ends
+        chosen, count, banned, live, planes = node
         if live and count + 1 < best_size:
             high = 0
             for p in planes[1:]:
@@ -414,8 +415,6 @@ def min_cover(h: Hypergraph, budget: int | None = None, start: int | None = None
             if count < best_size:
                 best_size = count
                 best_mask = chosen
-                if count <= lower:
-                    break
             continue
         if (count + 1 >= best_size or count + table.get(live, 0) >= best_size
                 or count + _packing(masks, inc, conf, live, banned, best_size - count) >= best_size):
@@ -424,24 +423,21 @@ def min_cover(h: Hypergraph, budget: int | None = None, start: int | None = None
         # members are tried by the most live edges hit, ties by least id.
         least = live
         for p in reversed(planes):
-            if least & ~p:
-                least &= ~p
+            least = least & ~p or least
         pick = masks[(least & -least).bit_length() - 1] & ~banned
         if count + 2 == best_size:
             # Every child is a leaf at best_size - 1.  Members that hit every
             # live edge, so lie in the last one, come first in the try order:
             # the first child is the incumbent if any covers, and the bound
-            # cuts the others.  A generator without children closes the node.
+            # cuts the others, or the stop comes after it.  A generator
+            # without children closes the node.
             cover = pick & masks[live.bit_length() - 1]
             while cover and live & ~inc[(cover & -cover).bit_length() - 1]:
                 cover &= cover - 1
             if cover and nodes < budget:
                 best_size = count + 1
                 best_mask = chosen | (cover & -cover)
-                if best_size <= lower:
-                    nodes += 1
-                    break
-            nodes = min(nodes + pick.bit_count(), budget + 1)
+            nodes = min(nodes + (pick.bit_count() if best_size > lower else 1), budget + 1)
             stack.append(children(chosen, count, banned, live, planes, []))
             continue
         order = sorted(bit_ids(pick), key=lambda v: ((live & inc[v]).bit_count(), -v))

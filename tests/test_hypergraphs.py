@@ -486,6 +486,32 @@ class TestKernelMatchesReference:
         nodes = {1: [379, 1473, 5895, 59], 2: [379, 1473, 5856, 59]}[limit]
         assert [g[3] for g in got[-4:]] == nodes
 
+    def test_table_entry_written_after_the_last_child(self):
+        # Vertex cover of two disjoint 5-vertex paths, 0-3-2-4-1 and
+        # 5-8-6-7-9; the greedy cover has 6 vertices.  The search first
+        # covers the first path with {0, 1, 2}, reaching the node whose
+        # live edges are the second path's, and only that node's last
+        # child, 7, improves the incumbent to 5.  Later {3, 4} covers the
+        # first path with one vertex fewer and reaches the same live edges.
+        # Written after the last child's subtree, the entry is 5 - 3 = 2,
+        # so 2 + 2 < 5 and the search goes on to the 4-cover; written when
+        # the node's generator is made, or before its last child, it is
+        # 6 - 3 = 3 and cuts that node, ending at 5.
+        h = hg(10, [2, 3], [2, 4], [1, 4], [0, 3], [6, 7], [5, 8], [7, 9], [6, 8])
+        res = min_cover(h)
+        assert (res.size, res.witness.sorted_ids(), res.optimal) == (4, [3, 4, 7, 8], True)
+        assert cover_outcome(min_cover, h, None) == cover_outcome(reference_table_min_cover, h, None)
+        # the same graph under other labellings and edge orders
+        rng = random.Random(67)
+        for _ in range(300):
+            label = rng.sample(range(10), 10)
+            edges = [1 << label[u] | 1 << label[v]
+                     for path in ((0, 3, 2, 4, 1), (5, 8, 6, 7, 9)) for u, v in zip(path, path[1:])]
+            rng.shuffle(edges)
+            h = Hypergraph(10, edges)
+            assert cover_outcome(min_cover, h, None) == cover_outcome(reference_table_min_cover, h, None)
+            assert min_cover(h).size == 4
+
     def test_greedy_filter_and_packing(self):
         rng = random.Random(62)
         for _ in range(400):

@@ -10,10 +10,12 @@ Definitions, assignments and imports do not count, only loads, so a name
 that only tests call fails here: such helpers belong in
 ``tests/conftest.py``, and a field nothing reads should go.  Likewise
 every name a package module imports must be read in that module, so a
-helper that moves out leaves no stale import behind.
+helper that moves out leaves no stale import behind.  And no package file
+cites a ROADMAP item by number, since the roadmap renumbers its items.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import sepcodes
@@ -133,6 +135,18 @@ def test_every_import_in_the_package_is_read():
         stale = imported_names(source) - loads(source)[0]
         unread += [f"{path.stem}.{name}" for name in sorted(stale)]
     assert not unread, f"imported but never read: {unread}"
+
+
+def test_no_source_file_cites_a_roadmap_item_number():
+    # ROADMAP items are renumbered as the roadmap is revised, so a cited
+    # number soon points at another item; say what the code waits on instead
+    cited = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for m in re.finditer(r"ROADMAP\W+items?\W+\d", text, re.IGNORECASE):
+            line = text.count("\n", 0, m.start()) + 1
+            cited.append(f"{path.name}:{line}")
+    assert not cited, f"ROADMAP item numbers cited at {cited}"
 
 
 def test_import_scan_binds_what_the_import_binds():
