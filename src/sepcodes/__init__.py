@@ -10,7 +10,6 @@ from .codes import (
     is_admissible,
     is_full_separating,
     verify_code,
-    verify_code_fast,
     x_number,
 )
 from .families import (
@@ -34,7 +33,6 @@ from .hypergraphs import (
     DEFAULT_NODE_BUDGET,
     EmptyHyperedgeError,
     Hypergraph,
-    greedy_cover,
     min_cover,
     remove_redundant,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "formula_x_number",
     "ftd_code_path_cycle",
     "generate",
-    "greedy_cover",
     "is_admissible",
     "is_full_separating",
     "min_cover",
@@ -88,6 +85,5 @@ __all__ = [
     "random_gnp",
     "remove_redundant",
     "verify_code",
-    "verify_code_fast",
     "x_number",
 ]

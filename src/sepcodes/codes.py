@@ -315,8 +315,8 @@ def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
 
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """:func:`verify_code` behind a guard on the kind, FD or FTD: no faster
-    check.  It stays, like :func:`~sepcodes.hypergraphs.greedy_cover`,
-    only while ``bench/workloads.py`` reads it.
+    check.  Not exported; like :func:`~sepcodes.hypergraphs.greedy_cover`, it
+    stays only while ``bench/workloads.py`` reads it.
 
     Raises ValueError for any other kind.
     """

@@ -119,9 +119,6 @@ class VertexSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
     def sorted_ids(self) -> list[int]:
         return bit_ids(self.mask)
 

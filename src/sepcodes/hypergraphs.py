@@ -18,6 +18,7 @@ branch-and-bound over int bitmasks:
 * the lower bound is a greedy packing of pairwise-disjoint uncovered
   hyperedges, smallest edge first.
 
+:func:`greedy_cover` is the search at budget 0.
 Search, greedy cover and packing bound share one incidence-bitset kernel:
 ``inc[v]`` is the set of indices of the reduced edges containing vertex v
 (the "transposed" bitsets of San Segundo, Rodriguez-Losada and Jimenez,
@@ -307,23 +308,13 @@ def _greedy_mask(inc: list[int], counts: Sequence[int]) -> int:
 
 
 def greedy_cover(h: Hypergraph) -> CoverResult:
-    """Jeroslow-Wang greedy cover of the inclusion-minimal edges (see
-    :func:`_greedy_mask`).
-
-    Flagged optimal only when the greedy size matches the disjoint-packing
-    lower bound of the hypergraph.  :func:`min_cover` starts from the same
-    greedy cover; this entry point stays only while ``bench/workloads.py``
-    reads it, in its greedy probe.
+    """:func:`min_cover` at budget 0: its first incumbent, the
+    Jeroslow-Wang greedy cover of the inclusion-minimal edges (see
+    :func:`_greedy_mask`), flagged optimal only where it meets ``h.lower``
+    (0 nodes), else with 1 node.  It stays only while
+    ``bench/workloads.py`` reads it, in its greedy probe.
     """
-    if h.has_empty_edge():
-        raise EmptyHyperedgeError("hypergraph has an empty hyperedge; no cover exists")
-    masks = _minimal_masks(h.n, h.edges)
-    counts = [m.bit_count() for m in masks]
-    inc = _incidence(h.n, masks, counts)
-    chosen = _greedy_mask(inc, counts)
-    size = chosen.bit_count()
-    packed = _packing(masks, inc, {}, (1 << len(masks)) - 1, 0, size)
-    return CoverResult(size, VertexSet(h.n, chosen), size == packed, 0)
+    return min_cover(h, 0)
 
 
 def _bit_slices(counts: list[int]) -> list[int]:

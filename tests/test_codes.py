@@ -33,7 +33,6 @@ from sepcodes import (
     random_gnp,
     remove_redundant,
     verify_code,
-    verify_code_fast,
     x_number,
 )
 from sepcodes import codes
@@ -44,6 +43,7 @@ from sepcodes.codes import (
     admissibility_failure,
     far_pairs_redundant,
     solver_hypergraph,
+    verify_code_fast,
     x_numbers,
 )
 from sepcodes.families import graph_from_spec_string

@@ -116,6 +116,13 @@ class TestVertexSet:
             a.extra = 1
         assert a == b
 
+    def test_repr_and_truthiness(self):
+        # ids ascending whatever the input order; truthiness comes from len
+        assert repr(VertexSet.of(5, [3, 0])) == "VertexSet(5, {0, 3})"
+        assert repr(VertexSet(2)) == "VertexSet(2, {})"
+        assert not VertexSet(3)
+        assert bool(VertexSet.of(3, [2]))
+
 
 class TestSymDiff:
     def test_half_graph_consecutive_left_vertices(self):

@@ -16,7 +16,6 @@ from sepcodes import (
     VertexSet,
     build_hypergraph,
     generate,
-    greedy_cover,
     min_cover,
     random_gnp,
     remove_redundant,
@@ -26,7 +25,7 @@ from sepcodes import (
 from sepcodes import hypergraphs
 from sepcodes.codes import is_admissible, solver_hypergraph
 from sepcodes.families import graph_from_spec_string
-from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks
+from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks, _packing, greedy_cover
 
 from conftest import (
     brute_force_tau,
@@ -296,6 +295,19 @@ class TestGreedyCover:
         with pytest.raises(EmptyHyperedgeError):
             greedy_cover(hg(1, []))
 
+    def test_is_the_search_at_budget_zero(self):
+        # optimal with 0 nodes only where the greedy cover meets h.lower,
+        # else 1 node, counted and not visited; an edgeless input too
+        assert cover_outcome(lambda h, _: greedy_cover(h), Hypergraph(3, []), None) == (0, 0, False, 1)
+        rng = random.Random(19)
+        for _ in range(40):
+            h = random_hypergraph(rng, rng.randint(1, 10), rng.randint(1, 12))
+            h = Hypergraph(h.n, h.edges, rng.randint(0, min_cover(h).size))
+            got = cover_outcome(lambda h, _: greedy_cover(h), h, None)
+            assert got == cover_outcome(min_cover, h, 0)
+            met = 0 < h.lower and got[0] <= h.lower
+            assert got[2:] == (met, 0 if met else 1)
+
 
 class TestPrecedes:
     def test_basic(self):
@@ -524,12 +536,14 @@ class TestKernelMatchesReference:
             want = reference_greedy_mask(h.n, by_size)
             counts = [m.bit_count() for m in by_size]
             assert _greedy_mask(_incidence(h.n, by_size, counts), counts) == want, h.edges
-            # greedy_cover runs greedy and packing on the reduced edges
+            # greedy_cover is the greedy on the reduced edges, and packing
+            # there counts up to its size
             reduced = reference_minimal_masks(h.edges)
             want = reference_greedy_mask(h.n, reduced)
-            res = greedy_cover(h)
-            bound = reference_packing_lower_bound(reduced)
-            assert (res.witness.mask, res.optimal) == (want, want.bit_count() == bound)
+            assert greedy_cover(h).witness.mask == want, h.edges
+            inc = _incidence(h.n, reduced, [m.bit_count() for m in reduced])
+            packed = _packing(reduced, inc, {}, (1 << len(reduced)) - 1, 0, want.bit_count())
+            assert packed == min(reference_packing_lower_bound(reduced), want.bit_count()), h.edges
 
     def test_empty_masks_leave_one(self):
         assert _minimal_masks(2, (0b11, 0, 0b1, 0)) == [0]

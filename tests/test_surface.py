@@ -10,8 +10,10 @@ Definitions, assignments and imports do not count, only loads, so a name
 that only tests call fails here: such helpers belong in
 ``tests/conftest.py``, and a field nothing reads should go.  Likewise
 every name a package module imports must be read in that module, so a
-helper that moves out leaves no stale import behind.  And no package file
-cites a ROADMAP item by number, since the roadmap renumbers its items.
+helper that moves out leaves no stale import behind.  The names whose one
+reader outside the tests is the bench are pinned, so a new one fails.  And
+no package file cites a ROADMAP item by number, since the roadmap
+renumbers its items.
 """
 
 import ast
@@ -48,14 +50,22 @@ def loaded_names(source: str) -> set[str]:
     return names | attributes
 
 
-def outside_reads() -> tuple[set[str], set[str]]:
-    """The names and attributes read by the package, the bench and the quick start."""
-    names, attributes = loads(quick_start())
-    for path in [*MODULES, *(ROOT / "bench").glob("*.py")]:
-        more_names, more_attributes = loads(path.read_text(encoding="utf-8"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+
+def reads(paths, *sources: str) -> tuple[set[str], set[str]]:
+    """The names and attributes read by the files and the extra sources."""
+    names, attributes = set(), set()
+    for source in [*sources, *(path.read_text(encoding="utf-8") for path in paths)]:
+        more_names, more_attributes = loads(source)
         names |= more_names
         attributes |= more_attributes
     return names, attributes
+
+
+def outside_reads() -> tuple[set[str], set[str]]:
+    """The names and attributes read by the package, the bench and the quick start."""
+    return reads([*MODULES, *BENCH], quick_start())
 
 
 def outside_callers() -> set[str]:
@@ -99,6 +109,26 @@ def test_every_public_definition_has_a_reader_outside_tests():
         unread += [f"{path.stem}.{name}" for name in top if name not in callers]
         unread += [f"{cls}.{name}" for cls, name in members if name not in attributes]
     assert not unread, f"defined but only tests read them: {unread}"
+
+
+def test_bench_only_names_are_pinned():
+    # public names whose one reader outside the tests is the bench: each
+    # leaves src/ with its last bench reader, and a new one fails here
+    names, attributes = reads(MODULES, quick_start())
+    bench_names, bench_attributes = reads(BENCH)
+    bench_only = set()
+    for path in MODULES:
+        top, members = public_definitions(path.read_text(encoding="utf-8"))
+        bench_only |= {f"{path.stem}.{name}" for name in top
+                       if name not in names | attributes and name in bench_names | bench_attributes}
+        bench_only |= {f"{cls}.{name}" for cls, name in members
+                       if name not in attributes and name in bench_attributes}
+    assert bench_only == {
+        "Graph.closed_twins", "Graph.open_twins", "VertexSet.issubset",
+        "codes.forced_vertices", "codes.is_admissible", "codes.verify_code_fast",
+        "families.ftd_code_path_cycle", "families.random_gnp",
+        "hypergraphs.greedy_cover",
+    }
 
 
 def test_scan_reads_loads_only():
