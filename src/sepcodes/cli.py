@@ -32,6 +32,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 from . import codes, families, sat_reduction
 from .graphs import Graph, GraphFormatError, VertexSet, format_edge_list, parse_edge_list
@@ -267,6 +268,15 @@ def _cmd_verify(args) -> tuple[dict, list, int]:
     return body, lines, EXIT_OK
 
 
+def _check(name: str, holds: bool, detail: str) -> dict:
+    return {"name": name, "holds": holds, "detail": detail}
+
+
+def _check_lines(checks: list[dict], failure: str) -> Iterator[str]:
+    """One line per check, marked ok or with the failure word."""
+    return (f"[{'ok' if c['holds'] else failure}] {c['name']}: {c['detail']}" for c in checks)
+
+
 def _cmd_relations(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     budget = _resolve_budget(args)
@@ -284,15 +294,8 @@ def _cmd_relations(args) -> tuple[dict, list, int]:
 
     # The checks read proven sizes only; an incumbent is no X-number.
     size = {kind: e["size"] for kind, e in numbers.items() if e.get("optimal")}
-    checks: list[dict] = []
-
-    def add_check(name: str, holds: bool, detail: str) -> None:
-        checks.append({"name": name, "holds": holds, "detail": detail})
-
-    for lo, hi, case in codes.KIND_INEQUALITIES:
-        if lo in size and hi in size:
-            add_check(f"{lo.value}<={hi.value}", size[lo] <= size[hi],
-                      f"{size[lo]} <= {size[hi]} [{case}]")
+    checks = [_check(f"{lo.value}<={hi.value}", size[lo] <= size[hi], f"{size[lo]} <= {size[hi]} [{case}]")
+              for lo, hi, case in codes.KIND_INEQUALITIES if lo in size and hi in size]
 
     K = codes.CodeKind
     fd, ftd = size.get(K.FD), size.get(K.FTD)
@@ -303,15 +306,15 @@ def _cmd_relations(args) -> tuple[dict, list, int]:
                                     for v, row in enumerate(g.rows) if v != x))
         sub = codes.x_number(rest, K.FTD, budget)
         if sub.optimal:
-            add_check("FD(G)=FTD(G-isolated)+1", fd == sub.size + 1, f"{fd} == {sub.size}+1")
+            checks.append(_check("FD(G)=FTD(G-isolated)+1", fd == sub.size + 1, f"{fd} == {sub.size}+1"))
     elif fd is not None and ftd is not None:  # a proven FTD means no isolated vertex
-        add_check("FTD-1<=FD<=FTD", ftd - 1 <= fd <= ftd, f"{ftd}-1 <= {fd} <= {ftd}")
+        checks.append(_check("FTD-1<=FD<=FTD", ftd - 1 <= fd <= ftd, f"{ftd}-1 <= {fd} <= {ftd}"))
         if size.keys() >= {K.ITD, K.OTD}:
             bound = max(size[K.ITD], size[K.OTD], fd)
-            add_check("FTD>=max(ITD,OTD,FD)", ftd >= bound, f"{ftd} >= {bound}")
+            checks.append(_check("FTD>=max(ITD,OTD,FD)", ftd >= bound, f"{ftd} >= {bound}"))
         if size.keys() >= {K.ID, K.OD, K.LTD, K.ITD, K.OTD}:
             bound = max(size[K.ID], size[K.OD], size[K.LTD] - 1, size[K.ITD] - 1, size[K.OTD] - 1)
-            add_check("FD>=max(ID,OD,LTD-1,ITD-1,OTD-1)", fd >= bound, f"{fd} >= {bound}")
+            checks.append(_check("FD>=max(ID,OD,LTD-1,ITD-1,OTD-1)", fd >= bound, f"{fd} >= {bound}"))
 
     body.update(budget=budget, results=[numbers[k] for k in codes.CodeKind], checks=checks,
                 violations=[c["name"] for c in checks if not c["holds"]])
@@ -323,8 +326,7 @@ def _cmd_relations(args) -> tuple[dict, list, int]:
             opt = "" if entry["optimal"] else " (budget exhausted)"
             lines.append(f"{kind.value}: {entry['size']}{opt}")
     lines += [f"checks: {sum(c['holds'] for c in checks)}/{len(checks)} hold",
-              (f"[{'ok' if c['holds'] else 'VIOLATION'}] {c['name']}: {c['detail']}"
-               for c in checks)]
+              _check_lines(checks, "VIOLATION")]
     exhausted = any(e.get("admissible") and not e.get("optimal") for e in numbers.values())
     return body, lines, EXIT_BUDGET if exhausted else EXIT_OK
 
@@ -372,47 +374,38 @@ def _cmd_reduce(args) -> tuple[dict, list, int]:
     budget = _resolve_budget(args)
     assignment = sat_reduction.brute_force_sat(formula)
     sat = assignment is not None
+    K = codes.CodeKind
     # FTD first: its size less one bounds FD, and its code starts FD's search.
-    (_, ftd), (_, fd) = codes.x_numbers(gg.graph, (codes.CodeKind.FTD, codes.CodeKind.FD), budget)
-    target_ftd, target_fd = 7 * n + 2 * m, 7 * n + 2 * m - 1
+    results = dict(codes.x_numbers(gg.graph, (K.FTD, K.FD), budget))
+    target = {K.FTD: 7 * n + 2 * m, K.FD: 7 * n + 2 * m - 1}
+    proven = all(res.optimal for res in results.values())
     # The size checks read proven sizes only; an incumbent is no X-number.
-    checks = []
-    if ftd.optimal:
-        checks.append({"name": "sat<=>FTD==7n+2m", "holds": sat == (ftd.size == target_ftd),
-                       "detail": f"sat={sat}, FTD={ftd.size}, target={target_ftd}"})
-    if fd.optimal:
-        checks.append({"name": "sat<=>FD==7n+2m-1", "holds": sat == (fd.size == target_fd),
-                       "detail": f"sat={sat}, FD={fd.size}, target={target_fd}"})
-    if not sat:
-        if ftd.optimal and fd.optimal:
-            checks.append({"name": "unsat=>both-strictly-larger",
-                           "holds": ftd.size > target_ftd and fd.size > target_fd,
-                           "detail": f"FTD={ftd.size}>{target_ftd}, FD={fd.size}>{target_fd}"})
-    else:
-        built = {}
-        for kind, target in ((codes.CodeKind.FTD, target_ftd), (codes.CodeKind.FD, target_fd)):
-            code = built[kind] = sat_reduction.code_from_assignment(gg, assignment, kind)
-            checks.append({"name": f"assignment-code-verifies-{kind.value}",
-                           "holds": len(code) == target
-                           and codes.verify_code(gg.graph, kind, code),
-                           "detail": f"|code|={len(code)}"})
-        decoded = sat_reduction.assignment_from_code(gg, built[codes.CodeKind.FTD])
-        checks.append({"name": "code-decodes-to-satisfying-assignment",
-                       "holds": decoded is not None
-                       and sat_reduction.satisfies(formula, decoded),
-                       "detail": f"decoded={decoded}"})
-    body["check"] = {
-        "satisfiable": sat,
-        "ftd": {"size": ftd.size, "optimal": ftd.optimal, "nodes": ftd.nodes_explored},
-        "fd": {"size": fd.size, "optimal": fd.optimal, "nodes": fd.nodes_explored},
-        "checks": checks,
-    }
+    checks = [_check(f"sat<=>{kind.value}==7n+2m{'-1' * (kind is K.FD)}",
+                     sat == (res.size == target[kind]),
+                     f"sat={sat}, {kind.value}={res.size}, target={target[kind]}")
+              for kind, res in results.items() if res.optimal]
+    if sat:
+        built = {kind: sat_reduction.code_from_assignment(gg, assignment, kind) for kind in results}
+        checks += [_check(f"assignment-code-verifies-{kind.value}",
+                          len(code) == target[kind] and codes.verify_code(gg.graph, kind, code),
+                          f"|code|={len(code)}") for kind, code in built.items()]
+        decoded = sat_reduction.assignment_from_code(gg, built[K.FTD])
+        checks.append(_check("code-decodes-to-satisfying-assignment",
+                             decoded is not None and sat_reduction.satisfies(formula, decoded),
+                             f"decoded={decoded}"))
+    elif proven:
+        checks.append(_check("unsat=>both-strictly-larger",
+                             all(res.size > target[kind] for kind, res in results.items()),
+                             ", ".join(f"{kind.value}={res.size}>{target[kind]}"
+                                       for kind, res in results.items())))
+    check = body["check"] = {"satisfiable": sat, "checks": checks}
     lines.append(f"satisfiable: {'yes' if sat else 'no'}")
-    for name, res, target in (("FTD", ftd, target_ftd), ("FD", fd, target_fd)):
+    for kind, res in results.items():
+        check[kind.value.lower()] = {"size": res.size, "optimal": res.optimal, "nodes": res.nodes_explored}
         opt = "" if res.optimal else " (budget exhausted)"
-        lines.append(f"{name} number: {res.size}{opt} (target {target})")
-    lines.append(f"[{'ok' if c['holds'] else 'FAIL'}] {c['name']}: {c['detail']}" for c in checks)
-    return body, lines, EXIT_OK if ftd.optimal and fd.optimal else EXIT_BUDGET
+        lines.append(f"{kind.value} number: {res.size}{opt} (target {target[kind]})")
+    lines.append(_check_lines(checks, "FAIL"))
+    return body, lines, EXIT_OK if proven else EXIT_BUDGET
 
 
 def _cmd_hypergraph(args) -> tuple[dict, list, int]:

@@ -6,11 +6,10 @@ X-hypergraph of a graph G is built so that a vertex subset is an X-code of
 G exactly when it covers the hypergraph; its covering number is the
 X-number of G.
 
-The hyperedge recipe per type is a triple of families:
-
-* domination row: all closed neighborhoods N[v], or all open N(v);
-* adjacent pairs: symmetric differences of closed or open neighborhoods;
-* non-adjacent pairs: symmetric differences of closed or open neighborhoods.
+A type is the paper's three properties: total picks the rows of the
+domination family, closed those of the adjacent pairs, and open those of
+the non-adjacent pairs (SeparationFamilies says which rows).  Locating
+is neither closed nor open, full is both.
 
 This module also provides the admissibility test, the definitional
 verifier (independent of the hypergraph route; full separation is closed
@@ -43,13 +42,6 @@ from .graphs import Graph, GraphFormatError, UniverseMismatchError, VertexSet, b
 from .hypergraphs import CoverResult, Hypergraph, min_cover
 
 
-class Nbhd(enum.Enum):
-    """Which neighborhood flavor a hyperedge family uses."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-
-
 class CodeKind(enum.Enum):
     ID = "ID"
     ITD = "ITD"
@@ -71,42 +63,47 @@ class CodeKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SeparationFamilies:
-    """Hyperedge recipe of one code type (see module docstring)."""
+    """One code type as the paper's three properties, each selecting the
+    rows of one hyperedge family:
 
-    domination: Nbhd
-    adjacent_pairs: Nbhd
-    nonadjacent_pairs: Nbhd
+    * total: the domination rows are N(v), else N[v];
+    * closed: the closed traces N[v] & C must be distinct, so adjacent
+      pairs give N[u] ^ N[v], else N(u) ^ N(v);
+    * open: the open traces N(v) & C must be distinct, so non-adjacent
+      pairs give N(u) ^ N(v), else N[u] ^ N[v].
 
+    True always selects the contained rows: N(v) lies in N[v]; for
+    adjacent u, v, N[u] ^ N[v] is N(u) ^ N(v) less {u, v}; for
+    non-adjacent u, v, N(u) ^ N(v) is N[u] ^ N[v] less {u, v}.
+    """
 
-_C, _O = Nbhd.CLOSED, Nbhd.OPEN
+    total: bool
+    closed: bool
+    open: bool
+
 
 FAMILIES: dict[CodeKind, SeparationFamilies] = {
-    CodeKind.ID: SeparationFamilies(_C, _C, _C),
-    CodeKind.ITD: SeparationFamilies(_O, _C, _C),
-    CodeKind.LD: SeparationFamilies(_C, _O, _C),
-    CodeKind.LTD: SeparationFamilies(_O, _O, _C),
-    CodeKind.FD: SeparationFamilies(_C, _C, _O),
-    CodeKind.FTD: SeparationFamilies(_O, _C, _O),
-    CodeKind.OD: SeparationFamilies(_C, _O, _O),
-    CodeKind.OTD: SeparationFamilies(_O, _O, _O),
+    CodeKind.ID: SeparationFamilies(total=False, closed=True, open=False),
+    CodeKind.ITD: SeparationFamilies(total=True, closed=True, open=False),
+    CodeKind.LD: SeparationFamilies(total=False, closed=False, open=False),
+    CodeKind.LTD: SeparationFamilies(total=True, closed=False, open=False),
+    CodeKind.FD: SeparationFamilies(total=False, closed=True, open=True),
+    CodeKind.FTD: SeparationFamilies(total=True, closed=True, open=True),
+    CodeKind.OD: SeparationFamilies(total=False, closed=False, open=True),
+    CodeKind.OTD: SeparationFamilies(total=True, closed=False, open=True),
 }
 
-# The flavor of each family whose edges are contained in the other's: N(v)
-# lies in N[v]; the closed-pair difference of adjacent u, v is the open one
-# minus {u, v}; for non-adjacent u, v it is the reverse.
-_CONTAINED_FLAVOR = {"domination": _O, "adjacent_pairs": _C, "nonadjacent_pairs": _O}
-
-# gamma^lo <= gamma^hi whenever both types are admissible: hi's recipe is
-# lo's with one family switched to its contained flavor, so every edge of
-# the hi-hypergraph lies inside the matching lo edge.  The third field
-# names the switched family.
+# gamma^lo <= gamma^hi whenever both types are admissible: hi has lo's
+# properties plus one, which selects contained rows, so every edge of the
+# hi-hypergraph lies inside the matching lo edge.  The third field names
+# the family whose rows changed.
 KIND_INEQUALITIES: tuple[tuple[CodeKind, CodeKind, str], ...] = tuple(
-    (lo, hi, field.removesuffix("_pairs"))
-    for field, flavor in _CONTAINED_FLAVOR.items()
+    (lo, hi, case)
+    for prop, case in (("total", "domination"), ("closed", "adjacent"), ("open", "nonadjacent"))
     for lo in CodeKind
-    if getattr(FAMILIES[lo], field) is not flavor
+    if not getattr(FAMILIES[lo], prop)
     for hi in CodeKind
-    if FAMILIES[hi] == replace(FAMILIES[lo], **{field: flavor})
+    if FAMILIES[hi] == replace(FAMILIES[lo], **{prop: True})
 )
 
 
@@ -147,14 +144,13 @@ def _trace_bound(g: Graph, kind: CodeKind) -> int:
     maximum degree.
     """
     fam = FAMILIES[kind]
-    closed, open_ = fam.adjacent_pairs is _C, fam.nonadjacent_pairs is _O
-    plus = int(closed and not open_)  # ID, ITD: closed traces
+    plus = int(fam.closed and not fam.open)  # ID, ITD: closed traces
     sizes = sorted((row.bit_count() + plus for row in g.rows), reverse=True)
     totals = list(accumulate(sizes, initial=0))
-    spare = int(open_ and fam.domination is _C)  # FD, OD: one open trace may be empty
+    spare = int(fam.open and not fam.total)  # FD, OD: one open trace may be empty
 
     def enough(k: int) -> bool:
-        need = g.n - (spare if closed or open_ else k)  # LD, LTD: the n - k outside C
+        need = g.n - (spare if fam.closed or fam.open else k)  # LD, LTD: the n - k outside C
         left = totals[k]
         for s in range(1, min(k, sizes[0]) + 1):
             take = min(comb(k, s), left // s)
@@ -177,9 +173,10 @@ def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
             " (one hyperedge per vertex pair)"
         )
     fam = FAMILIES[kind]
-    rows = {Nbhd.OPEN: g.rows, Nbhd.CLOSED: g.closed_rows}
-    adj_rows, non_rows = rows[fam.adjacent_pairs], rows[fam.nonadjacent_pairs]
     closed = g.closed_rows
+    dom_rows = g.rows if fam.total else closed
+    adj_rows = closed if fam.closed else g.rows
+    non_rows = g.rows if fam.open else closed
     adjacent: list[int] = []
     nonadjacent: list[int] = []
     # The one pass over vertex pairs u < v.  With near, v runs over u's
@@ -202,7 +199,7 @@ def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
                 adjacent.append(au ^ adj_rows[v])
             else:
                 nonadjacent.append(nu ^ non_rows[v])
-    return Hypergraph(n, [*rows[fam.domination], *adjacent, *nonadjacent], _trace_bound(g, kind))
+    return Hypergraph(n, [*dom_rows, *adjacent, *nonadjacent], _trace_bound(g, kind))
 
 
 def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
@@ -222,11 +219,12 @@ def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
 
 def far_pairs_redundant(kind: CodeKind) -> bool:
     """Whether every far pair's edge holds a domination row: for u, v at
-    distance 3 or more, N[u] and N[v] are disjoint, so N[u] | N[v] or
-    N(u) | N(v) contains u's row, listed earlier, unless that row is N[u]
-    and the edge N(u) | N(v), as in FD and OD."""
+    distance 3 or more, N[u] and N[v] are disjoint, so the pair's edge is
+    N[u] | N[v], or N(u) | N(v) when the kind is open.  That edge contains
+    u's row, listed earlier, when the kind is total (the row is N(u)) or
+    not open (the edge holds N[u]); it fails only for FD and OD."""
     fam = FAMILIES[kind]
-    return fam.domination is _O or fam.nonadjacent_pairs is _C
+    return fam.total or not fam.open
 
 
 def solver_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
@@ -238,21 +236,21 @@ def solver_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
     """Why g has no code of this kind, or None if it does.
 
-    Structural test: an empty hyperedge can only come from an isolated
-    vertex, a zero row (open-neighborhood domination row), a closed-twin
-    pair (closed adjacent diffs), or an open-twin pair (open non-adjacent
-    diffs, which includes any two isolated vertices).  The reason names
-    the first zero row or the lexicographically first such pair, found
-    in one pass over the rows that lists no pairs.
+    Structural test: an empty hyperedge can only come from a zero row
+    (an isolated vertex, when the kind is total), a closed-twin pair (when
+    it is closed), or an open-twin pair (when it is open, which includes
+    any two isolated vertices).  The reason names the first zero row or
+    the lexicographically first such pair, found in one pass over the
+    rows that lists no pairs.
     """
     fam = FAMILIES[kind]
-    if fam.domination is Nbhd.OPEN and 0 in g.rows:
+    if fam.total and 0 in g.rows:
         return f"isolated vertex {g.rows.index(0)}"
-    if fam.adjacent_pairs is Nbhd.CLOSED:
+    if fam.closed:
         twins = first_equal_row_pair(g.closed_rows)
         if twins:
             return f"closed twins {twins}"
-    if fam.nonadjacent_pairs is Nbhd.OPEN:
+    if fam.open:
         twins = first_equal_row_pair(g.rows)
         if twins:
             return f"open twins {twins}"
@@ -294,23 +292,20 @@ def is_full_separating(g: Graph, c: VertexSet) -> bool:
 def verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """Check c against the definition of a kind-code, trace by trace.
 
-    Domination asks every closed row (total domination: every open row)
-    to meet c.  Separation reads the kind's pair families: the closed
-    traces N[v] & C must be distinct when adjacent pairs use closed
-    differences, and the open traces N(v) & C when non-adjacent pairs use
-    open differences.  When neither holds (locating), the open traces of
-    the vertices outside c must be distinct.  This path never touches the
-    hypergraph encoding, so it serves as an independent oracle for the
-    cover route.
+    Domination asks every closed row (when the kind is total: every open
+    row) to meet c.  When the kind is closed, the closed traces N[v] & C
+    must be distinct; when it is open, the open traces N(v) & C.  When it
+    is neither (locating), the open traces of the vertices outside c must
+    be distinct.  This path never touches the hypergraph encoding, so it
+    serves as an independent oracle for the cover route.
     """
     cm = _code_mask(g, c)
     fam = FAMILIES[kind]
-    if not all(row & cm for row in (g.closed_rows if fam.domination is _C else g.rows)):
+    if not all(row & cm for row in (g.rows if fam.total else g.closed_rows)):
         return False
-    closed, open_ = fam.adjacent_pairs is _C, fam.nonadjacent_pairs is _O
-    if not (closed or open_):
+    if not (fam.closed or fam.open):
         return _separates([row for v, row in enumerate(g.rows) if not cm >> v & 1], cm)
-    return (not closed or _separates(g.closed_rows, cm)) and (not open_ or _separates(g.rows, cm))
+    return (not fam.closed or _separates(g.closed_rows, cm)) and (not fam.open or _separates(g.rows, cm))
 
 
 def verify_code_fast(g: Graph, kind: CodeKind, c: VertexSet) -> bool:

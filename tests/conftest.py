@@ -29,7 +29,6 @@ from sepcodes import (
     random_gnp,
 )
 from sepcodes import hypergraphs
-from sepcodes.codes import FAMILIES, Nbhd
 from sepcodes.graphs import bit_ids, check_edge_count, check_vertex_count
 from sepcodes.hypergraphs import _bit_slices, _incidence, _minimal_masks
 from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS
@@ -491,6 +490,22 @@ def reference_forced_vertices(g: Graph) -> VertexSet:
     return VertexSet(n, forced)
 
 
+# The paper's recipe per kind, stated here apart from the library's
+# FAMILIES: whether the domination rows, the adjacent pairs' differences
+# and the non-adjacent pairs' differences use closed neighborhoods N[v]
+# (else open N(v)).
+RECIPES: dict[CodeKind, tuple[bool, bool, bool]] = {
+    CodeKind.ID: (True, True, True),
+    CodeKind.ITD: (False, True, True),
+    CodeKind.LD: (True, False, True),
+    CodeKind.LTD: (False, False, True),
+    CodeKind.FD: (True, True, False),
+    CodeKind.FTD: (False, True, False),
+    CodeKind.OD: (True, False, False),
+    CodeKind.OTD: (False, False, False),
+}
+
+
 def reference_build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     """The X-hypergraph of g whose covers are exactly the X-codes of g.
 
@@ -499,15 +514,14 @@ def reference_build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
     then of all non-adjacent pairs in lexicographic order.  Non-admissible
     graphs simply yield a hypergraph containing an empty hyperedge.
     """
-    fam = FAMILIES[kind]
+    dom_closed, adj_closed, non_closed = RECIPES[kind]
     n = g.n
     masks: list[int] = []
-    if fam.domination is Nbhd.CLOSED:
+    if dom_closed:
         masks.extend(g.rows[v] | 1 << v for v in range(n))
     else:
         masks.extend(g.rows[v] for v in range(n))
-    for want_adjacent, flavor in ((True, fam.adjacent_pairs), (False, fam.nonadjacent_pairs)):
-        closed = flavor is Nbhd.CLOSED
+    for want_adjacent, closed in ((True, adj_closed), (False, non_closed)):
         for u in range(n):
             row = g.rows[u]
             cu = row | 1 << u
@@ -588,8 +602,7 @@ def is_locating(g: Graph, c: VertexSet) -> bool:
 
 def reference_verify_code(g: Graph, kind: CodeKind, c: VertexSet) -> bool:
     """Check c against the definition of a kind-code, one predicate per flavor."""
-    fam = FAMILIES[kind]
-    if fam.domination is Nbhd.CLOSED:
+    if RECIPES[kind][0]:
         if not is_dominating(g, c):
             return False
     elif not is_total_dominating(g, c):

@@ -18,11 +18,12 @@ from sepcodes import (
     parse_edge_list,
     random_gnp,
 )
-from sepcodes.codes import FAMILIES, Nbhd, admissibility_failure
+from sepcodes.codes import admissibility_failure
 from sepcodes.graphs import MAX_EDGES, MAX_VERTICES, bit_ids
 
 from conftest import (
     MALFORMED_EDGE_LISTS,
+    RECIPES,
     complete_graph,
     induced_subgraph,
     isolated_vertices,
@@ -212,12 +213,12 @@ class TestTwins:
             # each kind's refusal names the least isolated vertex or the
             # first reference twin pair of the flavor it checks
             isolated = [v for v in range(g.n) if not g.rows[v]]
-            for kind, fam in FAMILIES.items():
-                if fam.domination is Nbhd.OPEN and isolated:
+            for kind, (dom_closed, adj_closed, non_closed) in RECIPES.items():
+                if not dom_closed and isolated:
                     want = f"isolated vertex {isolated[0]}"
-                elif fam.adjacent_pairs is Nbhd.CLOSED and closed:
+                elif adj_closed and closed:
                     want = f"closed twins {closed[0]}"
-                elif fam.nonadjacent_pairs is Nbhd.OPEN and open_:
+                elif not non_closed and open_:
                     want = f"open twins {open_[0]}"
                 else:
                     want = None

@@ -13,7 +13,8 @@ every name a package module imports must be read in that module, so a
 helper that moves out leaves no stale import behind.  The names whose one
 reader outside the tests is the bench are pinned, so a new one fails.  And
 no package file cites a ROADMAP item by number, since the roadmap
-renumbers its items.
+renumbers its items.  The README's kind table states the same three
+properties per kind as ``codes.FAMILIES``.
 """
 
 import ast
@@ -21,6 +22,7 @@ import re
 from pathlib import Path
 
 import sepcodes
+from sepcodes.codes import FAMILIES, CodeKind
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(sepcodes.__file__).resolve().parent
@@ -31,6 +33,27 @@ def quick_start() -> str:
     """The python block under the README's "Library quick start" heading."""
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library quick start", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def kind_table() -> list[list[str]]:
+    """The cells of each row of the README's kind table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| kind | domination | separation |\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[1:]]
+
+
+# The (closed, open) properties each separation in the README names.
+SEPARATIONS = {"closed": (True, False), "open": (False, True), "full": (True, True),
+               "locating": (False, False)}
+
+
+def test_readme_kind_table_matches_families():
+    rows = kind_table()
+    assert [row[0] for row in rows] == [kind.value for kind in CodeKind]
+    for name, domination, separation in rows:
+        fam = FAMILIES[CodeKind[name]]
+        assert (domination == "total") == fam.total, name
+        assert SEPARATIONS[re.match(r"\w+", separation)[0]] == (fam.closed, fam.open), name
 
 
 def loads(source: str) -> tuple[set[str], set[str]]:
