@@ -12,6 +12,8 @@ Subcommands
 Exit codes: 0 success/optimal, 1 usage or parse error, 2 node budget
 exhausted, 3 graph not admissible for the requested kind.  Oversized
 inputs exit 1 too; any other exception is a defect and propagates.
+Usage errors, among them an unknown ``--kind`` and a missing or doubled
+graph source, come from the parser: its usage and error lines on stderr.
 
 Each command returns a report body (a dict), its human-readable lines
 (see ``render_text``) and an exit code; ``main`` adds ``format_version``,
@@ -59,22 +61,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_command(name: str, summary: str) -> argparse.ArgumentParser:
+    def graph_command(name: str, summary: str, kind: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.add_argument("graph", nargs="?", help="edge-list file (or use --family)")
-        p.add_argument("--family", help="family spec like path:12, half:4, thin:5[+k1]")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("graph", nargs="?", help="edge-list file (or use --family)")
+        source.add_argument("--family", help="family spec like path:12, half:4, thin:5[+k1]")
+        if kind:
+            p.add_argument("--kind", required=True, type=str.lower,
+                           choices=[k.value.lower() for k in codes.CodeKind])
         return p
 
-    p_solve = graph_command("solve", "compute an exact X-number")
-    p_solve.add_argument("--kind", required=True, type=str.lower,
-                         help="one of id, itd, ld, ltd, fd, ftd, od, otd")
+    graph_command("solve", "compute an exact X-number")
 
     p_verify = graph_command("verify", "verify a candidate code")
-    p_verify.add_argument("--kind", required=True, type=str.lower)
     p_verify.add_argument("--code", nargs="*", type=int, default=[],
                           help="vertex ids of the candidate code")
 
-    graph_command("relations", "X-numbers plus inequality checks")
+    graph_command("relations", "X-numbers plus inequality checks", kind=False)
 
     p_red = sub.add_parser("reduce", help="encode a DIMACS CNF file as a gadget graph")
     p_red.add_argument("cnf", help="DIMACS CNF file")
@@ -82,8 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_red.add_argument("--check", action="store_true",
                        help="run the satisfiability/code-size correspondence end to end")
 
-    p_hyp = graph_command("hypergraph", "dump an X-hypergraph")
-    p_hyp.add_argument("--kind", required=True, type=str.lower)
+    graph_command("hypergraph", "dump an X-hypergraph")
 
     p_fam = sub.add_parser("family", help="print a family graph and its known X-numbers")
     p_fam.add_argument("spec", help="family spec like path:12 or half:4+k1")
@@ -114,16 +116,12 @@ def _resolve_budget(args) -> int:
 def _load_graph(args) -> tuple[Graph, dict, list[str]]:
     """Graph from --family or from an edge-list file, plus the report's
     graph record and its ``source:`` line."""
-    if args.family and args.graph:
-        raise _UsageError("give either a graph file or --family, not both")
-    if args.family:
+    if args.family is not None:
         g, _spec = _parsed(families.graph_from_spec_string, args.family)
         source = f"family:{args.family}"
-    elif args.graph:
+    else:
         g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
         source = f"file:{args.graph}"
-    else:
-        raise _UsageError("no graph given: pass an edge-list file or --family SPEC")
     record = {"graph": {"source": source, "vertices": g.n, "edges": g.num_edges}}
     return g, record, [f"source: {source}"]
 
@@ -232,7 +230,7 @@ def _solve_entry(kind: codes.CodeKind, result: CoverResult, args, started: float
 
 def _cmd_solve(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
-    kind = _parsed(codes.CodeKind.parse, args.kind)
+    kind = codes.CodeKind[args.kind.upper()]
     body["budget"] = budget = _resolve_budget(args)
     started = time.perf_counter()
     try:
@@ -255,7 +253,7 @@ def _cmd_solve(args) -> tuple[dict, list, int]:
 
 def _cmd_verify(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
-    kind = _parsed(codes.CodeKind.parse, args.kind)
+    kind = codes.CodeKind[args.kind.upper()]
     code = _parsed(VertexSet.of, g.n, args.code)
     accepted = codes.verify_code(g, kind, code)
     entry = {"kind": kind.value, "code": code.sorted_ids(), "accepted": accepted}
@@ -338,13 +336,13 @@ _CHECK_MAX_CLAUSES = 4
 def _cmd_reduce(args) -> tuple[dict, list, int]:
     text = Path(args.cnf).read_text(encoding="utf-8")
     formula = sat_reduction.parse_dimacs(text)
-    gg = sat_reduction.build_gadget(formula)
     n, m = formula.num_vars, formula.num_clauses
     if args.check and (n > _CHECK_MAX_VARS or m > _CHECK_MAX_CLAUSES):
         raise _UsageError(
             f"--check is capped at {_CHECK_MAX_VARS} variables and "
             f"{_CHECK_MAX_CLAUSES} clauses (got {n}, {m})"
         )
+    gg = sat_reduction.build_gadget(formula)
     body: dict = {
         "cnf": {"source": f"file:{args.cnf}", "variables": n, "clauses": m},
         "gadget": {"vertices": gg.graph.n, "edges": gg.graph.num_edges},
@@ -410,7 +408,7 @@ def _cmd_reduce(args) -> tuple[dict, list, int]:
 
 def _cmd_hypergraph(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
-    kind = _parsed(codes.CodeKind.parse, args.kind)
+    kind = codes.CodeKind[args.kind.upper()]
     h = codes.build_hypergraph(g, kind)
     reduced = remove_redundant(codes.solver_hypergraph(g, kind)
                                if codes.far_pairs_redundant(kind) else h)

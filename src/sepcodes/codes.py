@@ -52,14 +52,6 @@ class CodeKind(enum.Enum):
     OD = "OD"
     OTD = "OTD"
 
-    @classmethod
-    def parse(cls, text: str) -> "CodeKind":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            valid = ", ".join(k.value.lower() for k in cls)
-            raise ValueError(f"unknown code kind {text!r} (expected one of: {valid})") from None
-
 
 @dataclass(frozen=True)
 class SeparationFamilies:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from sepcodes import (
     format_edge_list,
     formula_x_number,
     remove_redundant,
+    sat_reduction,
     x_number,
 )
 from sepcodes import cli
@@ -111,7 +113,7 @@ class TestSolve:
         path = tmp_path / "p4.edges"
         path.write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
         assert run_cli("solve", str(path), "--family", "path:4", "--kind", "fd")[0] == 1
-        assert "not both" in capsys.readouterr().err
+        assert "not allowed with argument graph" in capsys.readouterr().err
 
     def test_more_usage_errors(self, tmp_path):
         binary = tmp_path / "binary.edges"
@@ -185,6 +187,63 @@ class TestSolve:
                      ("solve", str(dense), "--kind", "fd")):
             assert run_cli(*argv)[0] == 1, argv
             assert "edge count 30 exceeds the limit of 20" in capsys.readouterr().err
+
+
+class TestCommandLine:
+    """The parser checks the kind and the graph source of every command."""
+
+    GRAPH_COMMANDS = ("solve", "verify", "relations", "hypergraph")
+    KIND_COMMANDS = ("solve", "verify", "hypergraph")
+
+    @staticmethod
+    def subparsers() -> dict:
+        parser = cli._build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_kind_choices_follow_code_kind(self):
+        for name, p in self.subparsers().items():
+            kind = [a for a in p._actions if a.dest == "kind"]
+            if name in self.KIND_COMMANDS:
+                assert kind[0].choices == [k.value.lower() for k in CodeKind], name
+            else:
+                assert kind == [], name
+
+    def test_graph_source_is_one_required_either_or_group(self):
+        for name, p in self.subparsers().items():
+            groups = [(g.required, [a.dest for a in g._group_actions])
+                      for g in p._mutually_exclusive_groups]
+            assert groups == ([(True, ["graph", "family"])] if name in self.GRAPH_COMMANDS
+                              else []), name
+
+    @pytest.mark.parametrize("command", KIND_COMMANDS)
+    def test_kind_is_case_insensitive(self, command):
+        code, report = run_json(command, "--family", "path:4", "--kind", "FtD")
+        assert code == 0
+        assert report["command"].endswith("--kind ftd --json")
+
+    @pytest.mark.parametrize("command", KIND_COMMANDS)
+    def test_unknown_kind_lists_every_kind(self, command, capsys):
+        assert run_cli(command, "--family", "path:4", "--kind", "xyz")[0] == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'xyz'" in err
+        for kind in CodeKind:
+            assert repr(kind.value.lower()) in err, kind
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS)
+    def test_no_graph_source_refused(self, command, capsys):
+        argv = (command, "--kind", "fd") if command in self.KIND_COMMANDS else (command,)
+        assert run_cli(*argv)[0] == 1
+        assert "one of the arguments graph --family is required" in capsys.readouterr().err
+
+    def test_empty_family_spec_refused(self, capsys):
+        assert run_cli("solve", "--family", "", "--kind", "fd")[0] == 1
+        assert capsys.readouterr().err == "error: family spec '' must look like 'path:12'\n"
+
+    def test_empty_family_spec_beside_a_graph_file_refused(self, tmp_path, capsys):
+        path = tmp_path / "p4.edges"
+        path.write_text("4 3\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        assert run_cli("solve", str(path), "--family", "", "--kind", "fd") == (1, "")
+        assert "not allowed with argument graph" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -382,6 +441,16 @@ class TestReduce:
         cnf = tmp_path / "bad.cnf"
         cnf.write_text("p cnf 4 1\n1 2 3 4 0\n", encoding="utf-8")
         assert run_cli("reduce", str(cnf))[0] == 1
+
+    def test_check_cap_refused_before_the_gadget_is_built(self, tmp_path, capsys, monkeypatch):
+        def refuse(formula):
+            raise AssertionError("gadget built for an over-cap formula")
+
+        monkeypatch.setattr(sat_reduction, "build_gadget", refuse)
+        cnf = tmp_path / "four.cnf"
+        cnf.write_text("p cnf 4 2\n1 2 3 0\n-3 4 1 0\n", encoding="utf-8")
+        assert run_cli("reduce", str(cnf), "--check")[0] == 1
+        assert "--check is capped at 3 variables and 4 clauses (got 4, 2)" in capsys.readouterr().err
 
     def test_check_cap_writes_nothing(self, tmp_path, capsys):
         cnf = tmp_path / "big.cnf"

@@ -115,16 +115,6 @@ def seeded_graphs(seed, count):
     return graphs
 
 
-class TestCodeKind:
-    def test_parse_case_insensitive(self):
-        assert CodeKind.parse("ftd") is CodeKind.FTD
-        assert CodeKind.parse(" Id ") is CodeKind.ID
-
-    def test_parse_unknown(self):
-        with pytest.raises(ValueError, match="unknown code kind"):
-            CodeKind.parse("xyz")
-
-
 class TestBuildHypergraph:
     def test_path3_fd_exact_edges_and_order(self):
         # closed neighborhoods by id, then adjacent closed diffs lex, then

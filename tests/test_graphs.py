@@ -268,7 +268,7 @@ class TestGraphConstruction:
         assert g.num_edges == 1
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
             Graph.from_edges(3, [(1, 1)])
 
     def test_negative_vertex_count(self):
@@ -409,7 +409,7 @@ class TestEdgeListFormat:
             parse_edge_list("3 1\n0 x\n")
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphFormatError):
+        with pytest.raises(GraphFormatError, match="self-loop at vertex 1"):
             parse_edge_list("3 1\n1 1\n")
 
     def test_edge_count_limit(self, monkeypatch):
