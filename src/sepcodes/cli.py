@@ -228,6 +228,11 @@ def _solve_entry(kind: codes.CodeKind, result: CoverResult, args, started: float
     }
 
 
+def _unproven(optimal: bool) -> str:
+    """The mark after a size that the search did not prove minimum."""
+    return "" if optimal else " (budget exhausted)"
+
+
 def _cmd_solve(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     kind = codes.CodeKind[args.kind.upper()]
@@ -244,7 +249,7 @@ def _cmd_solve(args) -> tuple[dict, list, int]:
         f"kind: {entry['kind']}",
         f"size: {entry['size']}",
         "witness: " + " ".join(map(str, entry["witness"])),
-        f"optimal: {'yes' if entry['optimal'] else 'no (budget exhausted)'}",
+        f"optimal: {'yes' if entry['optimal'] else 'no'}{_unproven(entry['optimal'])}",
         f"nodes: {entry['nodes']}",
         f"time: {entry['wall_ms']} ms",
     ]
@@ -321,8 +326,7 @@ def _cmd_relations(args) -> tuple[dict, list, int]:
         if not entry.get("admissible"):
             lines.append(f"{kind.value}: not admissible ({entry['reason']})")
         else:
-            opt = "" if entry["optimal"] else " (budget exhausted)"
-            lines.append(f"{kind.value}: {entry['size']}{opt}")
+            lines.append(f"{kind.value}: {entry['size']}{_unproven(entry['optimal'])}")
     lines += [f"checks: {sum(c['holds'] for c in checks)}/{len(checks)} hold",
               _check_lines(checks, "VIOLATION")]
     exhausted = any(e.get("admissible") and not e.get("optimal") for e in numbers.values())
@@ -400,8 +404,7 @@ def _cmd_reduce(args) -> tuple[dict, list, int]:
     lines.append(f"satisfiable: {'yes' if sat else 'no'}")
     for kind, res in results.items():
         check[kind.value.lower()] = {"size": res.size, "optimal": res.optimal, "nodes": res.nodes_explored}
-        opt = "" if res.optimal else " (budget exhausted)"
-        lines.append(f"{kind.value} number: {res.size}{opt} (target {target[kind]})")
+        lines.append(f"{kind.value} number: {res.size}{_unproven(res.optimal)} (target {target[kind]})")
     lines.append(_check_lines(checks, "FAIL"))
     return body, lines, EXIT_OK if proven else EXIT_BUDGET
 
@@ -410,8 +413,7 @@ def _cmd_hypergraph(args) -> tuple[dict, list, int]:
     g, body, lines = _load_graph(args)
     kind = codes.CodeKind[args.kind.upper()]
     h = codes.build_hypergraph(g, kind)
-    reduced = remove_redundant(codes.solver_hypergraph(g, kind)
-                               if codes.far_pairs_redundant(kind) else h)
+    reduced = remove_redundant(h)
     empty = h.has_empty_edge()
     rows, reduced_rows = h.dump_lines(), reduced.dump_lines()
     body.update(kind=kind.value,

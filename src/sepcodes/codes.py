@@ -23,10 +23,9 @@ a domination row is a stored row, a trace N[v] & C or N(v) & C is a row
 masked by the code, and a pair hyperedge is the xor of two rows.
 Admissibility, the verifiers and forced vertices make one pass over the
 rows (plus one row lookup per edge end for forced vertices); only the
-hypergraph builds visit vertex pairs.  The definitional build holds one
-edge per pair; the solver's build skips pairs at distance 3 or more
-wherever their edges hold a domination row (every kind but FD and OD).
-Both refuse graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
+hypergraph build visits vertex pairs.  It skips the pairs at distance 3
+or more wherever their edges hold a domination row (every kind but FD
+and OD), and refuses graphs above :data:`MAX_HYPERGRAPH_VERTICES`.
 """
 
 from __future__ import annotations
@@ -108,9 +107,9 @@ class NotAdmissibleError(ValueError):
         self.reason = reason
 
 
-# Largest vertex count either pair build accepts.  The definitional
-# hypergraph holds one n-bit edge per vertex pair, so its memory grows as
-# n^3: building it for path:1000 (FTD) peaks near 85 MB, and n = 2,000
+# Largest vertex count the pair build accepts.  For FD and OD it holds
+# one n-bit edge per vertex pair, so its memory grows as n^3: building it
+# for path:1000 (FD) peaks near 87 MB of process memory, and n = 2,000
 # costs about eight times that.  Larger graphs are refused before the
 # pair loop, with a GraphFormatError.
 MAX_HYPERGRAPH_VERTICES = 2_000
@@ -155,9 +154,20 @@ def _trace_bound(g: Graph, kind: CodeKind) -> int:
     return bisect_left(range(g.n), True, key=enough)
 
 
-def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
-    """build_hypergraph's edges, of every pair or (near) of the pairs at
-    distance at most 2."""
+def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
+    """The X-hypergraph of g whose covers are exactly the X-codes of g.
+
+    The domination rows, then one edge per vertex pair.  For u, v at
+    distance 3 or more N[u] and N[v] are disjoint, so the pair's edge is
+    N[u] | N[v], or N(u) | N(v) when the kind is open; it contains u's row
+    when the kind is total (the row is N(u)) or not open (the edge holds
+    N[u]), so the build skips those pairs for every kind but FD and OD.
+    Edge order: the neighborhoods by vertex id, then the differences of
+    the adjacent pairs, then of the non-adjacent pairs, each in
+    lexicographic order.  ``lower`` is :func:`_trace_bound`.  A
+    non-admissible graph yields an empty hyperedge.  Raises
+    GraphFormatError above MAX_HYPERGRAPH_VERTICES vertices.
+    """
     n = g.n
     if n > MAX_HYPERGRAPH_VERTICES:
         raise GraphFormatError(
@@ -165,6 +175,7 @@ def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
             " (one hyperedge per vertex pair)"
         )
     fam = FAMILIES[kind]
+    near = fam.total or not fam.open
     closed = g.closed_rows
     dom_rows = g.rows if fam.total else closed
     adj_rows = closed if fam.closed else g.rows
@@ -192,37 +203,6 @@ def _pair_hypergraph(g: Graph, kind: CodeKind, near: bool) -> Hypergraph:
             else:
                 nonadjacent.append(nu ^ non_rows[v])
     return Hypergraph(n, [*dom_rows, *adjacent, *nonadjacent], _trace_bound(g, kind))
-
-
-def build_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
-    """The X-hypergraph of g whose covers are exactly the X-codes of g.
-
-    This is the definitional build, with one edge per vertex pair; the
-    solver reads :func:`solver_hypergraph`.  Edge order is deterministic:
-    all neighborhoods by vertex id, then symmetric differences of all
-    adjacent pairs in lexicographic order, then of all non-adjacent pairs
-    in lexicographic order.  Its ``lower`` is :func:`_trace_bound`.
-    Non-admissible graphs simply yield a
-    hypergraph containing an empty hyperedge.  Raises GraphFormatError
-    when g has more than MAX_HYPERGRAPH_VERTICES vertices.
-    """
-    return _pair_hypergraph(g, kind, near=False)
-
-
-def far_pairs_redundant(kind: CodeKind) -> bool:
-    """Whether every far pair's edge holds a domination row: for u, v at
-    distance 3 or more, N[u] and N[v] are disjoint, so the pair's edge is
-    N[u] | N[v], or N(u) | N(v) when the kind is open.  That edge contains
-    u's row, listed earlier, when the kind is total (the row is N(u)) or
-    not open (the edge holds N[u]); it fails only for FD and OD."""
-    fam = FAMILIES[kind]
-    return fam.total or not fam.open
-
-
-def solver_hypergraph(g: Graph, kind: CodeKind) -> Hypergraph:
-    """:func:`build_hypergraph` less the far-pair edges wherever
-    :func:`far_pairs_redundant` holds; both reduce to the same edges in order."""
-    return _pair_hypergraph(g, kind, near=far_pairs_redundant(kind))
 
 
 def admissibility_failure(g: Graph, kind: CodeKind) -> str | None:
@@ -342,12 +322,10 @@ def x_number(g: Graph, kind: CodeKind, budget: int | None = None) -> CoverResult
 
     This is the one-kind pass of :func:`x_numbers`, where no other kind
     gives a bound or a first incumbent.  The cover search reads
-    :func:`solver_hypergraph`, whose redundancy removal gives the
-    definitional build's edges in the same order, so the search visits
-    the same nodes; both stop at a cover meeting :func:`_trace_bound`.
-    Raises NotAdmissibleError when no code of this kind exists,
-    GraphFormatError above MAX_HYPERGRAPH_VERTICES vertices.  On budget
-    exhaustion the result carries the best code found, flagged
+    :func:`build_hypergraph` and stops at a cover meeting
+    :func:`_trace_bound`.  Raises NotAdmissibleError when no code of this
+    kind exists, GraphFormatError above MAX_HYPERGRAPH_VERTICES vertices.
+    On budget exhaustion the result carries the best code found, flagged
     non-optimal.
     """
     [(_, result)] = x_numbers(g, (kind,), budget)
@@ -367,7 +345,7 @@ def x_numbers(g: Graph, kinds: Collection[CodeKind],
     pass over one kind.
 
     A kind's solve checks admissibility, searches
-    :func:`solver_hypergraph` and checks the witness against
+    :func:`build_hypergraph` and checks the witness against
     :func:`verify_code`.  Each search reads what the pass has settled.
     Its lower bound is the largest size proven for a kind below it in
     KIND_INEQUALITIES, for FD also a proven FTD - 1 (the paper's
@@ -390,7 +368,7 @@ def x_numbers(g: Graph, kinds: Collection[CodeKind],
         failure = admissibility_failure(g, kind)
         if failure is not None:
             raise NotAdmissibleError(kind, failure)
-        h = solver_hypergraph(g, kind)
+        h = build_hypergraph(g, kind)
         if lower > h.lower:
             h = replace(h, lower=lower)
         result = min_cover(h, budget, start)

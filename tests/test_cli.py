@@ -29,6 +29,7 @@ from conftest import (
     MALFORMED_EDGE_LISTS,
     induced_subgraph,
     random_twin_free_graph,
+    reference_build_hypergraph,
 )
 
 
@@ -86,6 +87,11 @@ class TestSolve:
         assert code == 0
         assert "size: 8" in out
         assert "optimal: yes" in out
+
+    def test_budget_exhausted_line(self):
+        code, out = run_cli("solve", "--family", "cycle:36+k1", "--kind", "fd", "--budget", "3")
+        assert code == 2
+        assert "optimal: no (budget exhausted)\n" in out
 
     def test_graph_file_input(self, tmp_path):
         path = tmp_path / "p4.edges"
@@ -338,6 +344,11 @@ class TestRelations:
         assert len(checks) == 7 and all(c["holds"] for c in checks)
         assert not [c["name"] for c in checks if "FD" in c["name"] or "OD" in c["name"]]
 
+    def test_budget_exhausted_line(self):
+        code, out = run_cli("relations", "--family", "cycle:36+k1", "--budget", "3")
+        assert code == 2
+        assert "FD: 25 (budget exhausted)\n" in out.splitlines(keepends=True)
+
     def test_inadmissible_kinds_reported(self):
         _, report = run_json("relations", "--family", "path:3")
         by_kind = {r["kind"]: r for r in report["results"]}
@@ -481,32 +492,40 @@ class TestHypergraphDump:
     @pytest.mark.parametrize("spec", ["path:8", "cycle:9", "path:5+k1"])
     @pytest.mark.parametrize("kind", list(codes.CodeKind))
     def test_rows_match_the_definitional_build(self, spec, kind):
-        # the reduced list comes from the solver's build, the raw one from
-        # the all-pairs build
+        # the raw list is the build the solver reads; the reduced list and
+        # the empty-edge flag are those of the all-pairs oracle
         g = graph_from_spec_string(spec)[0]
         h = build_hypergraph(g, kind)
-        reduced = remove_redundant(h)
+        oracle = reference_build_hypergraph(g, kind)
+        reduced = remove_redundant(oracle)
         code, report = run_json("hypergraph", "--family", spec, "--kind", kind.value)
         assert code == 0
         assert report["hypergraph"] == {"edges": h.dump_lines(), "count": len(h.edges)}
         assert report["reduced"] == {"edges": reduced.dump_lines(), "count": len(reduced.edges)}
-        assert report["empty_hyperedge"] is h.has_empty_edge()
+        assert report["empty_hyperedge"] is oracle.has_empty_edge()
+
+    def test_raw_list_holds_no_far_pairs(self):
+        # path:200 FTD: the 200 rows, 199 adjacent and 198 distance-2 pairs,
+        # not all 19,900 pairs; the reduced list is still the oracle's
+        g = graph_from_spec_string("path:200")[0]
+        reduced = remove_redundant(reference_build_hypergraph(g, CodeKind.FTD))
+        code, report = run_json("hypergraph", "--family", "path:200", "--kind", "ftd")
+        assert code == 0
+        assert report["hypergraph"]["count"] == len(report["hypergraph"]["edges"]) == 200 + 199 + 198
+        assert report["reduced"] == {"edges": reduced.dump_lines(), "count": len(reduced.edges)}
 
     @pytest.mark.parametrize("kind", list(codes.CodeKind))
     def test_one_pair_build_where_the_solver_keeps_every_pair(self, monkeypatch, kind):
-        # FD and OD reduce the raw build itself; the other kinds also make
-        # the distance-2 build
+        # one build per dump for every kind, reduced as it is
         builds = []
-        pair_hypergraph = codes._pair_hypergraph
 
-        def counted(g, kind, near):
-            builds.append(near)
-            return pair_hypergraph(g, kind, near)
+        def counted(g, kind):
+            builds.append(kind)
+            return build_hypergraph(g, kind)
 
-        monkeypatch.setattr(codes, "_pair_hypergraph", counted)
+        monkeypatch.setattr(codes, "build_hypergraph", counted)
         assert run_json("hypergraph", "--family", "cycle:9", "--kind", kind.value)[0] == 0
-        far = kind in (codes.CodeKind.FD, codes.CodeKind.OD)
-        assert builds == ([False] if far else [False, True])
+        assert builds == [kind]
 
 
 class TestFamilyCommand:

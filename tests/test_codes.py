@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,8 +42,6 @@ from sepcodes.codes import (
     MAX_HYPERGRAPH_VERTICES,
     _trace_bound,
     admissibility_failure,
-    far_pairs_redundant,
-    solver_hypergraph,
     verify_code_fast,
     x_numbers,
 )
@@ -115,6 +114,25 @@ def seeded_graphs(seed, count):
     return graphs
 
 
+def assert_matches_oracle(g):
+    """build_hypergraph against the all-pairs oracle: FD and OD keep every
+    pair, so the build is the oracle's; the other kinds keep the n rows and
+    the pairs within distance 2, and reduce to the oracle's edges in order
+    with the trace bound as ``lower``."""
+    # u, v are within distance 2 iff N[u] and N[v] meet
+    balls = [g.rows[v] | 1 << v for v in range(g.n)]
+    near_pairs = sum(1 for a, b in itertools.combinations(balls, 2) if a & b)
+    for kind in ALL_KINDS:
+        h, oracle = build_hypergraph(g, kind), reference_build_hypergraph(g, kind)
+        if kind in (CodeKind.FD, CodeKind.OD):
+            assert h == oracle, (kind, format_edge_list(g))
+            continue
+        reduced = remove_redundant(h)
+        assert (reduced.edges, reduced.lower) == (
+            remove_redundant(oracle).edges, _trace_bound(g, kind)), (kind, format_edge_list(g))
+        assert len(h.edges) == g.n + near_pairs, (kind, format_edge_list(g))
+
+
 class TestBuildHypergraph:
     def test_path3_fd_exact_edges_and_order(self):
         # closed neighborhoods by id, then adjacent closed diffs lex, then
@@ -150,10 +168,7 @@ class TestBuildHypergraph:
                   path(2), cycle(5), half(3), reference_disjoint_union(cycle(4), path(3)),
                   *seeded_graphs(61, 300)]
         for g in graphs:
-            for kind in ALL_KINDS:
-                assert build_hypergraph(g, kind) == reference_build_hypergraph(g, kind), (
-                    kind, format_edge_list(g))
-
+            assert_matches_oracle(g)
 
     def test_vertex_limit(self, monkeypatch):
         # refused before the pair loop, so this is instant
@@ -164,8 +179,7 @@ class TestBuildHypergraph:
         with pytest.raises(GraphFormatError, match="hypergraph limit"):
             x_number(g, CodeKind.FTD)
         monkeypatch.setattr(codes, "MAX_HYPERGRAPH_VERTICES", 5)
-        assert build_hypergraph(path(5), CodeKind.FTD) == reference_build_hypergraph(
-            path(5), CodeKind.FTD)
+        assert_matches_oracle(path(5))
         with pytest.raises(GraphFormatError, match="6 vertices exceed the hypergraph limit of 5"):
             build_hypergraph(path(6), CodeKind.FTD)
 
@@ -181,34 +195,25 @@ def family_graphs():
 
 
 class TestSolverHypergraph:
-    """The solver's build, which skips far pairs for six kinds, against the
-    definitional all-pairs build."""
+    """The build the solver reads, which skips far pairs for six kinds,
+    against the definitional all-pairs build of the test oracle."""
 
     def test_reduces_to_the_reference_edges_in_order(self):
-        graphs = [*seeded_graphs(71, 400), *family_graphs()]
-        for g in graphs:
-            # u, v are within distance 2 iff N[u] and N[v] meet
-            balls = [ids(g.rows[v] | 1 << v, g.n) for v in range(g.n)]
-            near_pairs = sum(1 for u, v in itertools.combinations(balls, 2) if u & v)
-            for kind in ALL_KINDS:
-                near = solver_hypergraph(g, kind)
-                want = remove_redundant(reference_build_hypergraph(g, kind)).edges
-                assert remove_redundant(near).edges == want, (kind, format_edge_list(g))
-                if kind in (CodeKind.FD, CodeKind.OD):
-                    assert near == build_hypergraph(g, kind)
-                else:
-                    assert len(near.edges) == g.n + near_pairs
+        for g in [*seeded_graphs(71, 400), *family_graphs()]:
+            assert_matches_oracle(g)
 
     def test_builds_carry_the_trace_bound(self):
         # so a search stops alike on either build, reduced or not
         for g in family_graphs():
             for kind in ALL_KINDS:
                 h = build_hypergraph(g, kind)
-                assert (h.lower == solver_hypergraph(g, kind).lower == remove_redundant(h).lower
-                        == _trace_bound(g, kind)), (kind, format_edge_list(g))
+                assert h.lower == remove_redundant(h).lower == _trace_bound(g, kind), (
+                    kind, format_edge_list(g))
 
-    def test_far_pairs_redundant_for_all_but_fd_and_od(self):
-        assert [k for k in ALL_KINDS if not far_pairs_redundant(k)] == [CodeKind.FD, CodeKind.OD]
+    def test_only_fd_and_od_keep_every_pair(self):
+        every_pair = 6 + 15
+        assert [k for k in ALL_KINDS if len(build_hypergraph(path(6), k).edges) == every_pair] == [
+            CodeKind.FD, CodeKind.OD]
 
     def test_x_number_matches_the_definitional_build(self):
         rng = random.Random(72)
@@ -220,8 +225,9 @@ class TestSolverHypergraph:
                     continue
                 for budget in (None, 3):
                     # size, witness, optimal and nodes_explored
-                    assert x_number(g, kind, budget) == min_cover(
-                        build_hypergraph(g, kind), budget), (kind, budget, format_edge_list(g))
+                    oracle = replace(reference_build_hypergraph(g, kind), lower=_trace_bound(g, kind))
+                    assert x_number(g, kind, budget) == min_cover(oracle, budget), (
+                        kind, budget, format_edge_list(g))
 
     def test_vertex_limit(self):
         g = path(MAX_HYPERGRAPH_VERTICES + 1)
@@ -615,7 +621,7 @@ class TestTraceBound:
         for _ in range(200):
             g = random_twin_free_graph(rng, rng.randint(4, 11))
             for kind in ALL_KINDS:
-                res = min_cover(Hypergraph(g.n, solver_hypergraph(g, kind).edges))
+                res = min_cover(Hypergraph(g.n, build_hypergraph(g, kind).edges))
                 bound = _trace_bound(g, kind)
                 assert res.optimal and bound <= res.size, (kind, format_edge_list(g))
                 tight += bound == res.size
@@ -635,7 +641,7 @@ class TestTraceBound:
         for n in range(6, 80, 2):
             assert _trace_bound(cycle(n), CodeKind.ID) == n // 2, n
             if n <= 24:
-                res = min_cover(Hypergraph(n, solver_hypergraph(cycle(n), CodeKind.ID).edges))
+                res = min_cover(Hypergraph(n, build_hypergraph(cycle(n), CodeKind.ID).edges))
                 assert res.optimal and res.size == n // 2, n
 
 

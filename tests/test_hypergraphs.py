@@ -23,7 +23,7 @@ from sepcodes import (
 )
 
 from sepcodes import hypergraphs
-from sepcodes.codes import is_admissible, solver_hypergraph
+from sepcodes.codes import is_admissible
 from sepcodes.families import graph_from_spec_string
 from sepcodes.hypergraphs import _bit_slices, _greedy_mask, _incidence, _minimal_masks, _packing, greedy_cover
 
@@ -38,6 +38,7 @@ from conftest import (
     random_subset,
     random_twin_free_graph,
     reference_bit_slices,
+    reference_build_hypergraph,
     reference_dump_lines,
     reference_greedy_mask,
     reference_incidence,
@@ -144,7 +145,7 @@ class TestRemoveRedundant:
         for _ in range(20):
             g = random_twin_free_graph(rng, rng.randint(4, 11))
             for kind in CodeKind:
-                for build in (build_hypergraph, solver_hypergraph):
+                for build in (build_hypergraph, reference_build_hypergraph):
                     reduced = remove_redundant(build(g, kind))
                     again = remove_redundant(reduced)
                     assert (again.edges, again.lower) == (reduced.edges, reduced.lower), kind
@@ -236,7 +237,7 @@ class TestMinCover:
         # cover is larger and the search does not reach 48 in 50,000 nodes,
         # but FTD's code is an FD code of size 48
         g, _ = graph_from_spec_string("path:72")
-        h = solver_hypergraph(g, CodeKind.FD)
+        h = build_hypergraph(g, CodeKind.FD)
         assert h.lower == 48
         assert not min_cover(h, 50_000).optimal
         start = x_number(g, CodeKind.FTD).witness.mask
@@ -552,7 +553,7 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("spec, kind, nodes", [
         ("thick:12", CodeKind.LD, 490),
         ("path:36", CodeKind.ID, 1),
-        # far-pair kinds (solver build within distance 2) not pinned above
+        # kinds built within distance 2, not pinned above
         ("path:48", CodeKind.FTD, 0),
         ("cycle:36", CodeKind.OTD, 0),
         ("thick:15", CodeKind.ITD, 43),
@@ -591,7 +592,7 @@ class TestSearchOnFilterOrder:
         graphs.extend(graph_from_spec_string(spec)[0] for spec in ("path:24", "cycle:24", "thick:9"))
         for g in graphs:
             for kind in CodeKind:
-                for build in (build_hypergraph, solver_hypergraph):
+                for build in (build_hypergraph, reference_build_hypergraph):
                     h = build(g, kind)
                     for budget in (5, None):
                         assert (cover_outcome(min_cover, h, budget)
@@ -775,7 +776,7 @@ class TestWeightedGreedy:
         for name, size, kinds in SEARCH_FAMILY_OPS:
             g = generate(FamilySpec(Family(name), size))
             for kind in kinds.split():
-                h = solver_hypergraph(g, CodeKind[kind])
+                h = build_hypergraph(g, CodeKind[kind])
                 masks = _minimal_masks(h.n, h.edges)
                 counts = [m.bit_count() for m in masks]
                 got = _greedy_mask(_incidence(h.n, masks, counts), counts)
@@ -874,7 +875,7 @@ class TestSupersetFilter:
         while not all(is_admissible(g, k) for k in kinds):
             g = random_gnp(n, 0.3, rng)
         for kind in kinds:
-            masks = solver_hypergraph(g, kind).edges
+            masks = build_hypergraph(g, kind).edges
             assert is_dense(n, masks), kind
             assert _minimal_masks(n, masks) == reference_minimal_masks(masks), kind
 
