@@ -31,7 +31,7 @@ from typing import Sequence
 from .codes import CodeKind, is_full_separating
 from .graphs import Graph, VertexSet, check_vertex_count
 
-BRUTE_FORCE_VAR_CAP = 24
+BRUTE_FORCE_VAR_CAP = 24  # also caps `sepcodes reduce --check`
 
 _VAR_PARTS = ("v1", "v2", "v3", "w1", "w2", "s1", "s2", "s3", "z1", "z2")
 _CLAUSE_PARTS = ("u1", "u2", "u3")

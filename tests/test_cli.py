@@ -333,7 +333,7 @@ class TestRelations:
         assert {r["kind"]: r["size"] for r in report["results"]}["FD"] == fd
 
     def test_unproven_sizes_are_not_checked(self):
-        # FD's incumbent 13 equals FTD, so reading it would add FTD-1<=FD<=FTD
+        # FD's incumbent 13 equals FTD, so reading it would add FD<=FTD and FTD-1<=FD
         code, report = run_json("relations", "--family", "cycle:19", "--budget", "100")
         assert code == 2
         unproven = {r["kind"] for r in report["results"] if not r["optimal"]}
@@ -343,6 +343,16 @@ class TestRelations:
         checks = report["checks"]
         assert len(checks) == 7 and all(c["holds"] for c in checks)
         assert not [c["name"] for c in checks if "FD" in c["name"] or "OD" in c["name"]]
+
+    def test_checks_are_the_lattice_rows_and_the_gap(self):
+        # thin:6 has no twins and no isolated vertex: every kind is proven
+        code, report = run_json("relations", "--family", "thin:6")
+        assert code == 0 and report["violations"] == []
+        names = [c["name"] for c in report["checks"]]
+        assert names == [f"{lo.value}<={hi.value}" for lo, hi, _ in codes.KIND_INEQUALITIES] + ["FTD-1<=FD"]
+        assert report["checks"][-1]["detail"] == "11-1 <= 10"
+        code, out = run_cli("relations", "--family", "thin:6")
+        assert code == 0 and "checks: 13/13 hold\n" in out
 
     def test_budget_exhausted_line(self):
         code, out = run_cli("relations", "--family", "cycle:36+k1", "--budget", "3")
@@ -403,11 +413,35 @@ class TestReduce:
         assert check["ftd"]["size"] > 11 and check["fd"]["size"] > 10
         assert all(c["holds"] for c in check["checks"])
 
-    def test_check_cap(self, tmp_path):
+    def test_check_cap_counts_variables_only(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         clauses = "\n".join("1 2 3 0" for _ in range(5))
         cnf.write_text(f"p cnf 3 5\n{clauses}\n", encoding="utf-8")
-        assert run_cli("reduce", str(cnf), "--check")[0] == 1
+        code, report = run_json("reduce", str(cnf), "--check")
+        assert code == 0
+        assert report["check"]["checks"] and all(c["holds"] for c in report["check"]["checks"])
+
+    def test_check_on_a_seeded_3cnf_corpus(self, tmp_path):
+        # three distinct variables per clause near the 3-SAT threshold, so
+        # both answers occur; every variable occurs, so the gadget is admissible
+        answers = []
+        for seed in range(16):
+            rng = random.Random(seed)
+            n = rng.randint(6, 12)
+            m = round(n * rng.uniform(4.3, 4.6))
+            clauses = []
+            while {abs(lit) for clause in clauses for lit in clause} != set(range(1, n + 1)):
+                clauses = [[v * rng.choice((1, -1)) for v in rng.sample(range(1, n + 1), 3)] for _ in range(m)]
+            cnf = tmp_path / f"{seed}.cnf"
+            cnf.write_text(f"p cnf {n} {m}\n" + "".join(" ".join(map(str, c)) + " 0\n" for c in clauses),
+                           encoding="utf-8")
+            code, report = run_json("reduce", str(cnf), "--check")
+            check = report["check"]
+            assert code == 0 and all(c["holds"] for c in check["checks"]), (seed, check["checks"])
+            sat = check["satisfiable"]
+            assert sat == (check["ftd"]["size"] == 7 * n + 2 * m) == (check["fd"]["size"] == 7 * n + 2 * m - 1)
+            answers.append(sat)
+        assert answers.count(True) >= 2 and answers.count(False) >= 2, answers
 
     def test_check_not_admissible(self, tmp_path, capsys):
         # variable 2 occurs in no clause, so its widget has twins
@@ -458,16 +492,18 @@ class TestReduce:
             raise AssertionError("gadget built for an over-cap formula")
 
         monkeypatch.setattr(sat_reduction, "build_gadget", refuse)
-        cnf = tmp_path / "four.cnf"
-        cnf.write_text("p cnf 4 2\n1 2 3 0\n-3 4 1 0\n", encoding="utf-8")
+        cap = sat_reduction.BRUTE_FORCE_VAR_CAP
+        cnf = tmp_path / "over.cnf"
+        cnf.write_text(f"p cnf {cap + 1} 1\n1 2 {cap + 1} 0\n", encoding="utf-8")
         assert run_cli("reduce", str(cnf), "--check")[0] == 1
-        assert "--check is capped at 3 variables and 4 clauses (got 4, 2)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --check is capped at {cap} variables (got {cap + 1})\n"
 
     def test_check_cap_writes_nothing(self, tmp_path, capsys):
+        cap = sat_reduction.BRUTE_FORCE_VAR_CAP
         cnf = tmp_path / "big.cnf"
-        cnf.write_text("p cnf 5 2\n1 2 3 0\n-3 4 5 0\n", encoding="utf-8")
+        cnf.write_text(f"p cnf {cap + 1} 1\n1 2 {cap + 1} 0\n", encoding="utf-8")
         assert run_cli("reduce", str(cnf), "-o", str(tmp_path / "out"), "--check")[0] == 1
-        assert "--check is capped at 3 variables" in capsys.readouterr().err
+        assert f"--check is capped at {cap} variables (got {cap + 1})" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["big.cnf"]
 
 

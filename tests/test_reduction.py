@@ -19,7 +19,7 @@ from sepcodes import (
     verify_code,
     x_number,
 )
-from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS, satisfies
+from sepcodes.sat_reduction import _CLAUSE_PARTS, _VAR_PARTS, BRUTE_FORCE_VAR_CAP, satisfies
 
 from conftest import (
     MALFORMED_DIMACS,
@@ -126,8 +126,9 @@ class TestBruteForceSat:
                 assert satisfies(f, got)
 
     def test_variable_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            brute_force_sat(CnfFormula(25, ((1,),)))
+        cap = BRUTE_FORCE_VAR_CAP
+        with pytest.raises(ValueError, match=f"capped at {cap} variables, got {cap + 1}"):
+            brute_force_sat(CnfFormula(cap + 1, ((1,),)))
 
 
 class TestBuildGadget:

@@ -10,7 +10,9 @@ Definitions, assignments and imports do not count, only loads, so a name
 that only tests call fails here: such helpers belong in
 ``tests/conftest.py``, and a field nothing reads should go.  Likewise
 every name a package module imports must be read in that module, so a
-helper that moves out leaves no stale import behind.  The names whose one
+helper that moves out leaves no stale import behind, and every name a
+package module assigns at top level must be read there too, so a
+constant outlives no reader.  The names whose one
 reader outside the tests is the bench are pinned, so a new one fails.  And
 no package file cites a ROADMAP item by number, since the roadmap
 renumbers its items.  The README's kind table states the same three
@@ -152,6 +154,25 @@ def test_bench_only_names_are_pinned():
         "families.ftd_code_path_cycle", "families.random_gnp",
         "hypergraphs.greedy_cover",
     }
+
+
+def module_constants(source: str) -> list[str]:
+    """The names the module's top-level assignments bind."""
+    return [sub.id for node in ast.parse(source).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+
+
+def test_every_module_constant_is_read():
+    # a constant left behind by the code that read it is a knob that does nothing
+    callers = outside_callers()
+    unread = [f"{path.stem}.{name}" for path in MODULES
+              for name in module_constants(path.read_text(encoding="utf-8")) if name not in callers]
+    assert not unread, f"assigned but never read: {unread}"
+
+
+def test_constant_scan_binds_top_level_assignments():
+    source = "A = 1\nB, (C, D) = 2, (3, 4)\nE: int = 5\nF.g = 6\ndef f():\n    H = 7\n"
+    assert module_constants(source) == ["A", "B", "C", "D", "E"]
 
 
 def test_scan_reads_loads_only():
